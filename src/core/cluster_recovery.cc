@@ -66,12 +66,12 @@ ReconstructVerified(const CheckpointManifest& manifest, const ObjectStore& store
             if (!base.has_value()) {
                 return std::nullopt;
             }
-            const auto base_blob =
+            auto base_blob =
                 ReconstructVerified(manifest, store, key, *base, depth + 1);
             if (!base_blob.has_value()) {
                 return std::nullopt;
             }
-            Blob blob = ApplyDelta(*record, *base_blob);
+            Blob blob = ApplyDelta(*record, std::move(*base_blob));
             if (logical_ok(blob)) {
                 return blob;
             }

@@ -310,9 +310,11 @@ HttpEndpoint::AcceptLoop() {
             HttpResponse busy;
             busy.status = 503;
             busy.body = "busy\n";
+            // Counted before the reply goes out: a client that has its
+            // answer must already see it in the counters.
+            shed.Add();
             WriteResponse(fd, busy);
             CloseFd(fd);
-            shed.Add();
         }
     }
 }
@@ -403,12 +405,15 @@ HttpEndpoint::HandleConnection(int fd) {
             response = Dispatch(method, path, query);
         }
     }
-    WriteResponse(fd, response);
-    CloseFd(fd);
+    // Counted before the reply goes out (the body is already rendered, so
+    // a /metrics reply never counts itself): a client that has its answer
+    // must already see it in obs.http.requests / obs.http.errors.
     requests.Add();
     if (response.status >= 400) {
         errors.Add();
     }
+    WriteResponse(fd, response);
+    CloseFd(fd);
 }
 
 HttpResponse

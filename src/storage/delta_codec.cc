@@ -171,22 +171,21 @@ ParseDelta(const Blob& record) {
 }
 
 Blob
-ApplyDelta(const Blob& record, const Blob& base) {
+ApplyDelta(const Blob& record, Blob base) {
     const DeltaRecord r = ParseDelta(record);
     if (base.size() != r.logical_bytes) {
         throw std::invalid_argument(
             "delta record: base size " + std::to_string(base.size()) +
             " does not match logical size " + std::to_string(r.logical_bytes));
     }
-    Blob out = base;
     std::size_t src = r.payload_offset;
     for (const std::uint32_t c : r.changed) {
         const std::size_t len = ChunkLen(r.logical_bytes, r.chunk_bytes, c);
-        std::memcpy(out.data() + std::size_t{c} * r.chunk_bytes,
+        std::memcpy(base.data() + std::size_t{c} * r.chunk_bytes,
                     record.data() + src, len);
         src += len;
     }
-    return out;
+    return base;
 }
 
 std::string

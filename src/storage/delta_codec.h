@@ -81,10 +81,13 @@ DeltaRecord ParseDelta(const Blob& record);
 
 /**
  * Reconstructs the logical blob: @p base overwritten with the changed
- * chunks of @p record. @throws std::invalid_argument when @p base does not
- * match the record's geometry (wrong size — the chain is inconsistent).
+ * chunks of @p record. The base is taken by value and patched in place, so
+ * a caller walking a chain moves each level's result into the next and
+ * the blob is copied once, not once per level.
+ * @throws std::invalid_argument when @p base does not match the record's
+ * geometry (wrong size — the chain is inconsistent).
  */
-Blob ApplyDelta(const Blob& record, const Blob& base);
+Blob ApplyDelta(const Blob& record, Blob base);
 
 /**
  * Store key of one delta record: "<key>@<iteration>.delta", beside the full

@@ -74,6 +74,13 @@ struct InjectedFaultCounts {
  *
  * Metadata operations (Contains/Erase/Keys/...) pass through unfaulted:
  * the modelled failure domain is the blob data path.
+ *
+ * Replay holds per operation sequence, not per run: every Put/Get draws
+ * from the one Rng in call order. With concurrent callers (the persist
+ * pipeline's workers) the thread interleaving decides which operation
+ * draws which fault, so one seed can hit different keys from run to run.
+ * Assert on outcomes (every key verified, degraded or damaged), not on
+ * which key a fault landed on.
  */
 class FaultyStore final : public ObjectStore {
   public:

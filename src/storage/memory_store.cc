@@ -1,12 +1,14 @@
 #include "storage/memory_store.h"
 
+#include <mutex>
+
 #include "util/logging.h"
 
 namespace moc {
 
 void
 MemoryStore::Put(const std::string& key, Blob blob) {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard lock(mu_);
     auto it = data_.find(key);
     if (it != data_.end()) {
         total_bytes_ -= it->second.size();
@@ -20,7 +22,7 @@ MemoryStore::Put(const std::string& key, Blob blob) {
 
 std::optional<Blob>
 MemoryStore::Get(const std::string& key) const {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::shared_lock lock(mu_);
     auto it = data_.find(key);
     if (it == data_.end()) {
         return std::nullopt;
@@ -30,13 +32,13 @@ MemoryStore::Get(const std::string& key) const {
 
 bool
 MemoryStore::Contains(const std::string& key) const {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::shared_lock lock(mu_);
     return data_.count(key) > 0;
 }
 
 void
 MemoryStore::Erase(const std::string& key) {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard lock(mu_);
     auto it = data_.find(key);
     if (it != data_.end()) {
         total_bytes_ -= it->second.size();
@@ -46,7 +48,7 @@ MemoryStore::Erase(const std::string& key) {
 
 std::vector<std::string>
 MemoryStore::Keys() const {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::shared_lock lock(mu_);
     std::vector<std::string> keys;
     keys.reserve(data_.size());
     for (const auto& [key, blob] : data_) {
@@ -57,19 +59,19 @@ MemoryStore::Keys() const {
 
 Bytes
 MemoryStore::TotalBytes() const {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::shared_lock lock(mu_);
     return total_bytes_;
 }
 
 std::size_t
 MemoryStore::Count() const {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::shared_lock lock(mu_);
     return data_.size();
 }
 
 void
 MemoryStore::Clear() {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard lock(mu_);
     data_.clear();
     total_bytes_ = 0;
 }

@@ -11,7 +11,7 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
+#include <shared_mutex>
 
 #include "dist/topology.h"
 #include "storage/object_store.h"
@@ -19,7 +19,9 @@
 namespace moc {
 
 /**
- * A thread-safe in-memory key-value store (one node's CPU memory).
+ * A thread-safe in-memory key-value store (one node's CPU memory). Reads
+ * share the lock, so concurrent Gets (the persist workers' read-back
+ * verify) copy their blobs out in parallel; writes take it exclusively.
  */
 class MemoryStore final : public ObjectStore {
   public:
@@ -37,7 +39,7 @@ class MemoryStore final : public ObjectStore {
     void Clear();
 
   private:
-    mutable std::mutex mu_;
+    mutable std::shared_mutex mu_;
     std::map<std::string, Blob> data_;
     Bytes total_bytes_ = 0;
 };

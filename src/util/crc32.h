@@ -21,6 +21,20 @@
  * same-shaped bytes in place passes verification. A second polynomial
  * breaks the cancellation: the embedded trailer is no longer the outer
  * register's own image of the section.
+ *
+ * Implementations. Crc32 is portable slice-by-8 everywhere. Crc32c is
+ * chosen once per process, on first use, by asking the CPU
+ * (`__builtin_cpu_supports("sse4.2")`):
+ *  - x86-64 with SSE4.2: the `crc32` instruction over three interleaved
+ *    streams (runs of 3 × 8 KiB, then 3 × 256 B, then one stream for the
+ *    tail), joined by precomputed zero-byte shift tables. On a 4-vCPU
+ *    x86-64 VM it hashes 16 MiB at 8–10 GB/s, slice-by-8 at 1.3 GB/s.
+ *  - anything else: the same slice-by-8 tables as Crc32, with the
+ *    Castagnoli polynomial.
+ * Both produce bit-identical values at every length, split and alignment
+ * (tests/util_test.cc cross-checks them against a bytewise reference via
+ * util/crc32_internal.h). There is no flag or environment variable: the
+ * choice changes speed, never a checksum.
  */
 
 #include <cstddef>
@@ -34,7 +48,7 @@ std::uint32_t Crc32(const void* data, std::size_t len);
 /** Incremental form: feed @p crc from a previous call (start with 0). */
 std::uint32_t Crc32Update(std::uint32_t crc, const void* data, std::size_t len);
 
-/** Computes the CRC-32C (Castagnoli) of @p data[0..len). */
+/** Computes the CRC-32C (Castagnoli) of @p data[0..len). Thread-safe. */
 std::uint32_t Crc32c(const void* data, std::size_t len);
 
 /** Incremental CRC-32C: feed @p crc from a previous call (start with 0). */

@@ -10,10 +10,11 @@
 #include <sstream>
 
 #include "cli_lib.h"
-#include "core/moc_system.h"
 #include "core/cold_start.h"
+#include "core/moc_system.h"
 #include "nn/model.h"
 #include "storage/file_store.h"
+#include "temp_path.h"
 
 namespace moc {
 namespace {
@@ -78,7 +79,7 @@ TEST(Cli, SimulatePrintsGantts) {
 
 TEST(Cli, TraceCheckValidatesGoodAndBad) {
     namespace fs = std::filesystem;
-    const fs::path dir = fs::temp_directory_path() / "moc_cli_trace";
+    const fs::path dir = UniqueTempPath("moc_cli_trace");
     fs::create_directories(dir);
     const fs::path good = dir / "good.txt";
     const fs::path bad = dir / "bad.txt";
@@ -120,7 +121,7 @@ TEST(Cli, InspectReadsRealCheckpoint) {
     system.Checkpoint(12, extra);
 
     namespace fs = std::filesystem;
-    const fs::path dir = fs::temp_directory_path() / "moc_cli_inspect";
+    const fs::path dir = UniqueTempPath("moc_cli_inspect");
     fs::remove_all(dir);
     {
         FileStore disk(dir);
@@ -165,7 +166,7 @@ MakeCheckpointDir(const std::string& name) {
         extra.adam_step = iter;
         system.Checkpoint(iter, extra);
     }
-    const auto dir = std::filesystem::temp_directory_path() / name;
+    const auto dir = UniqueTempPath(name);
     std::filesystem::remove_all(dir);
     FileStore disk(dir);
     CopyStore(system.storage(), disk);
@@ -219,8 +220,7 @@ TEST(Cli, FsckDamagedTwinIsRepairable) {
 }
 
 TEST(Cli, FsckNonexistentDirExitsTwoWithoutCreatingIt) {
-    const auto dir =
-        std::filesystem::temp_directory_path() / "moc_cli_fsck_no_such_dir";
+    const auto dir = UniqueTempPath("moc_cli_fsck_no_such_dir");
     std::filesystem::remove_all(dir);
     std::ostringstream out;
     std::ostringstream err;
@@ -240,8 +240,7 @@ TEST(Cli, ReportMissingMetricsFileExitsTwo) {
 }
 
 TEST(Cli, ReportUnparsableMetricsExitsTwo) {
-    const auto path =
-        std::filesystem::temp_directory_path() / "moc_cli_bad_metrics.json";
+    const auto path = UniqueTempPath("moc_cli_bad_metrics.json");
     std::ofstream(path) << "this is not json {";
     std::ostringstream out;
     std::ostringstream err;

@@ -20,6 +20,7 @@
 #include "storage/file_store.h"
 #include "storage/persistent_store.h"
 #include "storage/store_error.h"
+#include "temp_path.h"
 
 namespace moc {
 namespace {
@@ -286,7 +287,7 @@ TEST(ClusterFaults, SingleRankFaultFallsBackToSealedGeneration) {
 
 TEST(ClusterFaults, FsckClassifiesTornGenerationRepairableNeverClean) {
     namespace fs = std::filesystem;
-    const fs::path dir = fs::temp_directory_path() / "moc_cluster_fsck";
+    const fs::path dir = UniqueTempPath("moc_cluster_fsck");
     fs::remove_all(dir);
     FileStore disk(dir);
     RankFaultStore store(disk, "rank1/");

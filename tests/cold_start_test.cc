@@ -14,6 +14,7 @@
 #include "sim/perf_model.h"
 #include "storage/file_store.h"
 #include "storage/memory_store.h"
+#include "temp_path.h"
 
 namespace moc {
 namespace {
@@ -97,7 +98,7 @@ TEST(CopyStore, CopiesEverythingAcrossBackends) {
     MemoryStore src;
     src.Put("a/b", Blob(10, 1));
     src.Put("c", Blob(20, 2));
-    const auto dir = std::filesystem::temp_directory_path() / "moc_copy_test";
+    const auto dir = UniqueTempPath("moc_copy_test");
     std::filesystem::remove_all(dir);
     {
         FileStore dst(dir);
@@ -120,7 +121,7 @@ TEST(CopyStore, ColdStartThroughFileStoreRoundTrip) {
     ExtraState extra{0, 0, original.gating_rng().GetState()};
     MocCheckpointSystem system(cfg, original, topo, TinyLm().ToModelSpec(), extra);
 
-    const auto dir = std::filesystem::temp_directory_path() / "moc_cold_file";
+    const auto dir = UniqueTempPath("moc_cold_file");
     std::filesystem::remove_all(dir);
     {
         FileStore disk(dir);

@@ -26,6 +26,7 @@
 #include "storage/file_store.h"
 #include "storage/persistent_store.h"
 #include "storage/store_error.h"
+#include "temp_path.h"
 #include "util/crc32.h"
 #include "util/hash.h"
 #include "util/rng.h"
@@ -380,7 +381,7 @@ TEST(DedupIdentity, Crc32cCollisionWithEqualSizeDoesNotDedup) {
 
 TEST(DeltaFsck, CorruptMidChainBaseIsRepairableAndExcludesDependents) {
     namespace fs = std::filesystem;
-    const fs::path dir = fs::temp_directory_path() / "moc_delta_fsck";
+    const fs::path dir = UniqueTempPath("moc_delta_fsck");
     fs::remove_all(dir);
     {
         FileStore disk(dir);

@@ -23,6 +23,7 @@
 #include "obs/prometheus.h"
 #include "obs/run_meta.h"
 #include "obs/trace.h"
+#include "temp_path.h"
 #include "util/json.h"
 #include "util/logging.h"
 
@@ -162,7 +163,7 @@ TEST(ObsExport, MetricsJsonCarriesRegisteredMetrics) {
 }
 
 TEST(ObsExport, WritesMetricsFileCreatingDirectories) {
-    const auto dir = std::filesystem::temp_directory_path() / "moc_obs_test";
+    const auto dir = UniqueTempPath("moc_obs_test");
     std::filesystem::remove_all(dir);
     const auto path = dir / "nested" / "metrics.json";
     MetricsRegistry::Instance().GetCounter("obs_test.file_counter").Add(5);

@@ -21,6 +21,7 @@
 #include "obs/export.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
+#include "temp_path.h"
 #include "util/json.h"
 
 namespace moc {
@@ -49,7 +50,7 @@ MachineSection(const std::string& output) {
 
 struct TempDir {
     std::filesystem::path path;
-    TempDir() : path(std::filesystem::temp_directory_path() / "moc_report_test") {
+    TempDir() : path(UniqueTempPath("moc_report_test")) {
         std::filesystem::remove_all(path);
         std::filesystem::create_directories(path);
     }

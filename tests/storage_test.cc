@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -57,6 +60,42 @@ TEST(MemoryStore, ClearDropsEverything) {
     store.Clear();
     EXPECT_EQ(store.Count(), 0U);
     EXPECT_EQ(store.TotalBytes(), 0U);
+}
+
+/**
+ * Readers share the store's lock and copy concurrently while a writer
+ * overwrites the same key: every read sees one whole blob, never a torn
+ * one, and the byte accounting stays exact. Run under TSan in CI.
+ */
+TEST(MemoryStore, ConcurrentReadersSeeWholeBlobsWhileWriterOverwrites) {
+    MemoryStore store;
+    store.Put("k", MakeBlob(4096, 0));
+    std::atomic<bool> done{false};
+    std::atomic<std::size_t> torn{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 3; ++t) {
+        readers.emplace_back([&] {
+            while (!done) {
+                const auto blob = store.Get("k");
+                if (!blob.has_value() || blob->size() != 4096 ||
+                    std::count(blob->begin(), blob->end(), blob->front()) !=
+                        4096 ||
+                    !store.Contains("k") || store.Count() != 1) {
+                    ++torn;
+                }
+            }
+        });
+    }
+    for (int v = 1; v <= 200; ++v) {
+        store.Put("k", MakeBlob(4096, static_cast<std::uint8_t>(v)));
+    }
+    done = true;
+    for (auto& reader : readers) {
+        reader.join();
+    }
+    EXPECT_EQ(torn.load(), 0U);
+    EXPECT_EQ(store.TotalBytes(), 4096U);
+    EXPECT_EQ(store.Get("k")->front(), 200);
 }
 
 // ---------- NodeMemoryPool ----------

@@ -20,6 +20,7 @@
 #include "faults/trainer.h"
 #include "nn/adam.h"
 #include "nn/model.h"
+#include "temp_path.h"
 #include "util/csv.h"
 
 namespace moc {
@@ -193,13 +194,14 @@ TEST(Csv, ArityEnforced) {
 TEST(Csv, WritesFile) {
     CsvWriter csv({"k", "v"});
     csv.AddRow({"x", "1"});
-    const std::string path = "/tmp/moc_csv_test/sub/out.csv";
+    const auto dir = UniqueTempPath("moc_csv_test");
+    const std::string path = (dir / "sub" / "out.csv").string();
     ASSERT_TRUE(csv.WriteFile(path));
     std::ifstream in(path);
     std::string line;
     std::getline(in, line);
     EXPECT_EQ(line, "k,v");
-    std::filesystem::remove_all("/tmp/moc_csv_test");
+    std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -23,7 +23,10 @@
  *  - when the coordinator exits, every surviving child is SIGKILLed
  *    (SIGKILL also reaps SIGSTOPped ranks left frozen by a `stop:` fault);
  *  - `--timeout-s` bounds the whole run: on expiry everything is killed
- *    and the launcher exits 124 (the `timeout(1)` convention).
+ *    and the launcher exits 124 (the `timeout(1)` convention);
+ *  - before forking, the port files a previous launch into the same
+ *    `--ckpt-dir` published are removed, so a relaunch's ranks wait for
+ *    the new coordinator's port instead of dialling the old one.
  */
 
 #include <sys/stat.h>
@@ -87,6 +90,30 @@ LauncherFlag(const std::string& flag) {
            flag == "--events-out-dir" || flag == "--metrics-out-dir" ||
            flag == "--obs-out-dir" || flag == "--respawn" ||
            flag == "--http-port";
+}
+
+/**
+ * Removes the rendezvous files a previous launch into the same --ckpt-dir
+ * left behind: the transport port file and the live endpoint's port file
+ * (given by --port-file / --http-port-file, or cluster_procs' defaults
+ * beside the checkpoint directory). A rank forked before the new
+ * coordinator publishes its port would otherwise read the old one, dial
+ * a dead port, and never join.
+ */
+void
+RemoveStaleRendezvousFiles(int argc, char** argv) {
+    const std::string ckpt_dir =
+        FlagStr(argc, argv, "ckpt-dir", "/tmp/moc_gauntlet");
+    const std::string port_file = ckpt_dir + ".port";
+    const std::string http_file = ckpt_dir + ".http";
+    for (const char* path :
+         {FlagStr(argc, argv, "port-file", port_file.c_str()),
+          FlagStr(argc, argv, "http-port-file", http_file.c_str())}) {
+        if (::unlink(path) != 0 && errno != ENOENT) {
+            std::fprintf(stderr, "moc_launcher: cannot remove stale %s: %s\n",
+                         path, std::strerror(errno));
+        }
+    }
 }
 
 pid_t
@@ -271,6 +298,7 @@ main(int argc, char** argv) {
         }
     }
 
+    RemoveStaleRendezvousFiles(argc, argv);
     std::vector<Child> children;
     {
         std::vector<std::string> args = shared;
