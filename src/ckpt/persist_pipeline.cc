@@ -201,9 +201,22 @@ PersistPipeline::Execute(Job job) {
     ctx.phase = "persist";
     const obs::TraceContextScope ctx_scope(ctx);
     const Seconds start = clock_.Now();
-    const std::uint32_t crc = Crc32c(job.blob.data(), job.blob.size());
-    const std::uint64_t fnv = Fnv1a64(job.blob.data(), job.blob.size());
     const Bytes size = job.blob.size();
+
+    // One identity pass over the shard. With delta on, the chunk grid is
+    // hashed once and the same walk yields the whole-blob CRC-32C; the
+    // chunk ids stand in for a whole-blob second hash. Without delta, the
+    // identity is (CRC-32C, XXH64) of the whole blob.
+    std::uint32_t crc = 0;
+    std::uint64_t xxh = 0;
+    std::shared_ptr<const std::vector<ChunkId>> chunks;
+    if (options_.delta) {
+        chunks = std::make_shared<const std::vector<ChunkId>>(
+            HashChunks(job.blob, options_.delta_chunk_bytes, &crc));
+    } else {
+        crc = Crc32c(job.blob.data(), size);
+        xxh = Xxh64(job.blob.data(), size);
+    }
 
     std::optional<SealedEntry> baseline;
     {
@@ -214,13 +227,30 @@ PersistPipeline::Execute(Job job) {
         }
     }
 
+    // Chunk diff against the last sealed generation's blob (delta mode,
+    // same size and grid).
+    std::vector<std::uint32_t> changed;
+    const bool same_grid = options_.delta && baseline &&
+                           baseline->bytes == size && baseline->chunks &&
+                           baseline->chunks->size() == chunks->size();
+    if (same_grid) {
+        for (std::size_t i = 0; i < chunks->size(); ++i) {
+            if ((*chunks)[i] != (*baseline->chunks)[i]) {
+                changed.push_back(static_cast<std::uint32_t>(i));
+            }
+        }
+    }
+
     // Dedup: identical content to the last sealed generation's entry is
-    // recorded by reference, not re-persisted. Identity is the triple
-    // (size, CRC-32C, FNV-1a 64): a 32-bit hash alone collides under
-    // realistic shard counts, and a false dedup silently restores the
-    // wrong expert weights.
-    if (options_.dedup && baseline && baseline->crc == crc &&
-        baseline->fnv == fnv && baseline->bytes == size) {
+    // recorded by reference, not re-persisted. Identity is the byte size,
+    // the whole-blob CRC-32C and a structurally unrelated 64-bit hash —
+    // XXH64 of the whole blob, or in delta mode every chunk's (CRC-32C,
+    // XXH64) pair. A 32-bit hash alone collides under realistic shard
+    // counts, and a false dedup silently restores the wrong expert weights.
+    const bool identical =
+        baseline && baseline->bytes == size && baseline->crc == crc &&
+        (options_.delta ? same_grid && changed.empty() : baseline->xxh == xxh);
+    if (options_.dedup && identical) {
         const SealedEntry entry = *baseline;  // keeps chain + chunk ids
         {
             std::lock_guard<std::mutex> lock(mu_);
@@ -237,40 +267,25 @@ PersistPipeline::Execute(Job job) {
                 "cluster.bytes_deduped");
         dedup_ctr.Add();
         dedup_bytes.Add(size);
-        CompleteJob(job, /*written=*/false, /*deduped=*/true,
+        CompleteJob(job, size, /*written=*/false, /*deduped=*/true,
                     /*failed=*/false, /*bytes=*/0);
         return;
     }
 
-    // Delta: a changed shard whose size matches the baseline diffs against
-    // it chunk-by-chunk; when only part of the grid changed and the chain
-    // is still under its bound, persist the changed chunks instead of the
-    // whole blob. Everything else falls through to a full write.
-    std::shared_ptr<const std::vector<ChunkId>> chunks;
-    std::vector<std::uint32_t> changed;
+    // Delta: when only part of the grid changed and the chain is still
+    // under its bound, persist the changed chunks instead of the whole
+    // blob. Everything else falls through to a full write.
     bool as_delta = false;
-    if (options_.delta) {
-        chunks = std::make_shared<const std::vector<ChunkId>>(
-            HashChunks(job.blob, options_.delta_chunk_bytes));
-        if (baseline && baseline->bytes == size && baseline->chunks &&
-            baseline->chunks->size() == chunks->size()) {
-            for (std::size_t i = 0; i < chunks->size(); ++i) {
-                if ((*chunks)[i] != (*baseline->chunks)[i]) {
-                    changed.push_back(static_cast<std::uint32_t>(i));
-                }
-            }
-            if (!changed.empty() && changed.size() < chunks->size()) {
-                if (baseline->chain_length < options_.max_delta_chain) {
-                    as_delta = true;
-                } else {
-                    std::lock_guard<std::mutex> lock(mu_);
-                    ++gen_stats_.forced_full;
-                    static obs::Counter& forced_ctr =
-                        obs::MetricsRegistry::Instance().GetCounter(
-                            "cluster.delta.forced_full");
-                    forced_ctr.Add();
-                }
-            }
+    if (!changed.empty() && changed.size() < chunks->size()) {
+        if (baseline->chain_length < options_.max_delta_chain) {
+            as_delta = true;
+        } else {
+            std::lock_guard<std::mutex> lock(mu_);
+            ++gen_stats_.forced_full;
+            static obs::Counter& forced_ctr =
+                obs::MetricsRegistry::Instance().GetCounter(
+                    "cluster.delta.forced_full");
+            forced_ctr.Add();
         }
     }
 
@@ -278,12 +293,11 @@ PersistPipeline::Execute(Job job) {
     // this key (a full blob, or a shorter delta chain), so restore and
     // fsck can walk the chain without chasing dedup refs first.
     const std::size_t delta_base = baseline ? baseline->physical_iteration : 0;
-    Blob payload;
-    if (as_delta) {
-        payload = EncodeDelta(job.blob, changed, options_.delta_chunk_bytes,
-                              delta_base);
-    }
-    const Blob& wire = as_delta ? payload : job.blob;
+    // The bytes to write are moved into the store below; everything the
+    // rest of this function needs about them is taken here first.
+    Blob wire = as_delta ? EncodeDelta(job.blob, changed,
+                                       options_.delta_chunk_bytes, delta_base)
+                         : std::move(job.blob);
     const Bytes wire_size = wire.size();
     const std::uint32_t wire_crc =
         as_delta ? Crc32c(wire.data(), wire.size()) : crc;
@@ -306,7 +320,7 @@ PersistPipeline::Execute(Job job) {
             if (write_cost_) {
                 clock_.Advance(write_cost_(wire_size) * options_.time_scale);
             }
-            store_.Put(physical, wire);
+            store_.Put(physical, std::move(wire));
             written = true;
         }
         if (options_.verify) {
@@ -347,7 +361,7 @@ PersistPipeline::Execute(Job job) {
     if (ok) {
         SealedEntry entry;
         entry.crc = crc;
-        entry.fnv = fnv;
+        entry.xxh = xxh;
         entry.bytes = size;
         entry.physical_iteration = job.iteration;
         entry.chain_length = as_delta ? baseline->chain_length + 1 : 0;
@@ -390,19 +404,20 @@ PersistPipeline::Execute(Job job) {
     } else {
         failures_ctr.Add();
     }
-    CompleteJob(job, ok, /*deduped=*/false, /*failed=*/!ok, ok ? wire_size : 0);
+    CompleteJob(job, size, ok, /*deduped=*/false, /*failed=*/!ok,
+                ok ? wire_size : 0);
 }
 
 void
-PersistPipeline::CompleteJob(const Job& job, bool written, bool deduped,
-                             bool failed, Bytes bytes) {
+PersistPipeline::CompleteJob(const Job& job, Bytes shard_bytes, bool written,
+                             bool deduped, bool failed, Bytes bytes) {
     {
         std::lock_guard<std::mutex> lock(mu_);
         gen_stats_.shards_written += written ? 1 : 0;
         gen_stats_.shards_deduped += deduped ? 1 : 0;
         gen_stats_.failures += failed ? 1 : 0;
         gen_stats_.bytes_written += bytes;
-        gen_stats_.bytes_deduped += deduped ? job.blob.size() : 0;
+        gen_stats_.bytes_deduped += deduped ? shard_bytes : 0;
         --in_flight_;
     }
     drain_cv_.notify_all();

@@ -13,9 +13,11 @@
  *    latest-wins, so a failing event cannot damage an older generation;
  *  - each write is CRC-32C hashed and (optionally) read back and verified
  *    before the manifest records it;
- *  - a shard whose content identity — (byte size, CRC-32C, FNV-1a 64), two
+ *  - a shard whose content identity — (byte size, CRC-32C, XXH64), two
  *    structurally unrelated hashes so a 32-bit collision cannot silently
- *    alias two different blobs — matches the last *sealed* generation's
+ *    alias two different blobs; with delta on, the size, the whole-blob
+ *    CRC-32C and every chunk's (CRC-32C, XXH64) pair, all from one pass
+ *    over the chunk grid — matches the last *sealed* generation's
  *    entry is recorded by reference instead of re-persisted — under PEC
  *    with K << N most expert shards are unchanged between events, so
  *    persisted bytes drop sharply (dedup);
@@ -204,10 +206,13 @@ class PersistPipeline {
 
     /** Content identity of a sealed shard, for dedup and delta diffing. */
     struct SealedEntry {
+        /** CRC-32C of the whole blob. */
         std::uint32_t crc = 0;
-        /** Second, structurally unrelated hash: two same-size blobs that
-            collide on CRC-32C must still not dedup against each other. */
-        std::uint64_t fnv = 0;
+        /** Second, structurally unrelated hash (XXH64 of the whole blob):
+            two same-size blobs that collide on CRC-32C must still not
+            dedup against each other. Delta mode leaves it 0 and compares
+            the per-chunk (CRC-32C, XXH64) ids in `chunks` instead. */
+        std::uint64_t xxh = 0;
         Bytes bytes = 0;
         /** Iteration whose physical blob holds the content. */
         std::size_t physical_iteration = 0;
@@ -220,8 +225,10 @@ class PersistPipeline {
 
     void WorkerLoop();
     void Execute(Job job);
-    void CompleteJob(const Job& job, bool written, bool deduped, bool failed,
-                     Bytes bytes);
+    /** @p shard_bytes is the shard's logical size: Execute may already
+        have moved job.blob into the store. */
+    void CompleteJob(const Job& job, Bytes shard_bytes, bool written,
+                     bool deduped, bool failed, Bytes bytes);
 
     ObjectStore& store_;
     CheckpointManifest& manifest_;

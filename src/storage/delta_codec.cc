@@ -67,17 +67,26 @@ ChunkLen(std::size_t size, std::size_t chunk_bytes, std::size_t index) {
 }  // namespace
 
 std::vector<ChunkId>
-HashChunks(const Blob& blob, std::size_t chunk_bytes) {
+HashChunks(const Blob& blob, std::size_t chunk_bytes, std::uint32_t* whole_crc) {
     if (chunk_bytes == 0) {
         throw std::invalid_argument("chunk_bytes must be > 0");
     }
     const std::size_t n = NumChunks(blob.size(), chunk_bytes);
     std::vector<ChunkId> ids;
     ids.reserve(n);
+    std::uint32_t whole = 0;
     for (std::size_t c = 0; c < n; ++c) {
         const std::size_t len = ChunkLen(blob.size(), chunk_bytes, c);
         const std::uint8_t* p = blob.data() + c * chunk_bytes;
-        ids.push_back(ChunkId{Crc32c(p, len), Fnv1a64(p, len)});
+        ids.push_back(ChunkId{Crc32c(p, len), Xxh64(p, len)});
+        // The chunk is still in cache: extending the whole-blob CRC here
+        // costs no second walk over memory.
+        if (whole_crc != nullptr) {
+            whole = Crc32cUpdate(whole, p, len);
+        }
+    }
+    if (whole_crc != nullptr) {
+        *whole_crc = whole;
     }
     return ids;
 }

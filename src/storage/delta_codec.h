@@ -8,10 +8,16 @@
  * Content-hash dedup (PR 4) only skips *unchanged* experts; a hot expert
  * that changed 1% of its weights still re-persisted 100% of its bytes.
  * Delta encoding closes that gap: the blob is cut into fixed-size chunks,
- * each chunk's identity (CRC-32C + FNV-1a 64, see util/hash.h for why one
+ * each chunk's identity (CRC-32C + XXH64, see util/hash.h for why one
  * 32-bit hash is not an identity) is compared against the previous sealed
  * generation's blob, and only the changed chunks are persisted — a bitmap
  * plus their payloads, stored under `<key>@<iter>.delta`.
+ *
+ * HashChunks is the save path's one identity pass over a shard: it walks
+ * the chunk grid once and, per cache-hot chunk, computes the chunk id and
+ * extends the whole-blob CRC-32C. With delta on, the persist pipeline's
+ * dedup test is built from that pass alone (same size, same whole CRC-32C,
+ * no chunk id changed), so no byte is hashed twice before the write.
  *
  * A delta record names the iteration it applies on top of (`base`), so
  * restore reconstructs the logical blob by walking the chain down to a full
@@ -39,16 +45,21 @@ namespace moc {
 /** Content identity of one chunk: two structurally unrelated hashes. */
 struct ChunkId {
     std::uint32_t crc = 0;
-    std::uint64_t fnv = 0;
+    std::uint64_t xxh = 0;
 
     bool operator==(const ChunkId& o) const {
-        return crc == o.crc && fnv == o.fnv;
+        return crc == o.crc && xxh == o.xxh;
     }
     bool operator!=(const ChunkId& o) const { return !(*this == o); }
 };
 
-/** Per-chunk identities of @p blob cut into @p chunk_bytes chunks. */
-std::vector<ChunkId> HashChunks(const Blob& blob, std::size_t chunk_bytes);
+/**
+ * Per-chunk identities (CRC-32C, XXH64) of @p blob cut into @p chunk_bytes
+ * chunks. When @p whole_crc is non-null it receives the CRC-32C of the
+ * whole blob, extended chunk by chunk in the same pass.
+ */
+std::vector<ChunkId> HashChunks(const Blob& blob, std::size_t chunk_bytes,
+                                std::uint32_t* whole_crc = nullptr);
 
 /** Parsed header + layout of one delta record. */
 struct DeltaRecord {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <filesystem>
 #include <fstream>
@@ -94,12 +95,29 @@ TEST(DeltaCodec, ChunkHashesDifferPerChunkAndCarryBothHashes) {
     ASSERT_EQ(ids.size(), 3U);  // 128 + 128 + 44-byte tail
     EXPECT_NE(ids[0], ids[1]);
     for (const auto& id : ids) {
-        EXPECT_NE(id.fnv, 0U);
+        EXPECT_NE(id.xxh, 0U);
     }
     // The chunk identity matches hashing the slice directly.
     EXPECT_EQ(ids[0].crc, Crc32c(blob.data(), 128));
-    EXPECT_EQ(ids[0].fnv, Fnv1a64(blob.data(), 128));
+    EXPECT_EQ(ids[0].xxh, Xxh64(blob.data(), 128));
     EXPECT_EQ(ids[2].crc, Crc32c(blob.data() + 256, 44));
+    EXPECT_EQ(ids[2].xxh, Xxh64(blob.data() + 256, 44));
+}
+
+TEST(DeltaCodec, ChunkPassAlsoYieldsTheWholeBlobCrc) {
+    Blob blob(1000);
+    for (std::size_t i = 0; i < blob.size(); ++i) {
+        blob[i] = static_cast<std::uint8_t>(i * 13 + 5);
+    }
+    for (const std::size_t chunk : {1UL, 7UL, 64UL, 999UL, 1000UL, 4096UL}) {
+        std::uint32_t whole = 0xDEADBEEF;
+        const auto ids = HashChunks(blob, chunk, &whole);
+        EXPECT_EQ(whole, Crc32c(blob.data(), blob.size())) << chunk;
+        EXPECT_EQ(ids, HashChunks(blob, chunk)) << chunk;
+    }
+    std::uint32_t empty = 0xDEADBEEF;
+    EXPECT_TRUE(HashChunks(Blob{}, 64, &empty).empty());
+    EXPECT_EQ(empty, 0U);
 }
 
 TEST(DeltaCodec, EncodeApplyRoundTripsWithShortTailChunk) {
@@ -354,7 +372,7 @@ TEST(DedupIdentity, Crc32cCollisionWithEqualSizeDoesNotDedup) {
     ASSERT_EQ(Crc32c(a.data(), a.size()), Crc32c(b.data(), b.size()))
         << "collision crafting failed";
     // The second identity component tells them apart.
-    EXPECT_NE(Fnv1a64(a.data(), a.size()), Fnv1a64(b.data(), b.size()));
+    EXPECT_NE(Xxh64(a.data(), a.size()), Xxh64(b.data(), b.size()));
 
     PersistentStore store({.write_bandwidth = 1e9, .read_bandwidth = 1e9,
                            .latency = 0.0});
@@ -375,6 +393,59 @@ TEST(DedupIdentity, Crc32cCollisionWithEqualSizeDoesNotDedup) {
     EXPECT_EQ(stats.shards_written, 1U);
     ASSERT_TRUE(store.Contains("k@2"));
     EXPECT_EQ(*store.Get("k@2"), b);
+}
+
+TEST(DedupIdentity, ChunkCrc32cCollisionInDeltaModeIsWrittenAsDelta) {
+    constexpr std::size_t kChunk = 64;
+    Blob a(4 * kChunk);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        a[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    }
+    // Replace chunk 1 with a CRC-32C-colliding chunk. Equal-length parts
+    // with equal CRCs concatenate to an equal CRC, so the whole blob
+    // collides too: size and both CRC-32C levels all match the baseline,
+    // and only the chunks' XXH64 can tell the blobs apart.
+    const Blob chunk1(a.begin() + kChunk, a.begin() + 2 * kChunk);
+    const Blob forged = CraftCrc32cCollision(chunk1);
+    Blob b = a;
+    std::copy(forged.begin(), forged.end(), b.begin() + kChunk);
+    ASSERT_NE(a, b);
+    ASSERT_EQ(Crc32c(a.data(), a.size()), Crc32c(b.data(), b.size()))
+        << "collision crafting failed";
+
+    PersistentStore store({.write_bandwidth = 1e9, .read_bandwidth = 1e9,
+                           .latency = 0.0});
+    CheckpointManifest manifest;
+    PersistPipelineOptions opt;
+    opt.delta = true;
+    opt.delta_chunk_bytes = kChunk;
+    PersistPipeline pipeline(store, manifest, {}, opt);
+
+    pipeline.BeginGeneration(1);
+    pipeline.Submit("k", a, 1);
+    ASSERT_TRUE(pipeline.FinishGeneration().sealed);
+
+    pipeline.BeginGeneration(2);
+    pipeline.Submit("k", b, 2);
+    const auto stats = pipeline.FinishGeneration();
+    ASSERT_TRUE(stats.sealed);
+    EXPECT_EQ(stats.shards_deduped, 0U);
+    EXPECT_EQ(stats.shards_written, 1U);
+    EXPECT_EQ(stats.shards_delta, 1U);
+
+    // The record carries exactly the forged chunk.
+    const auto record = store.Get(DeltaShardKey("k", 2));
+    ASSERT_TRUE(record.has_value());
+    EXPECT_EQ(ParseDelta(*record).changed, std::vector<std::uint32_t>{1});
+
+    // And restore rebuilds the forged bytes, not the baseline's.
+    const auto restore = PlanClusterRestore(manifest);
+    ASSERT_TRUE(restore.has_value());
+    EXPECT_EQ(restore->generation, 2U);
+    const auto result = ExecuteClusterRestore(manifest, store, *restore);
+    EXPECT_TRUE(result.damaged.empty());
+    ASSERT_TRUE(result.blobs.count("k"));
+    EXPECT_EQ(result.blobs.at("k"), b);
 }
 
 // ---------- fsck ----------

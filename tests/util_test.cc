@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <set>
 #include <thread>
@@ -513,6 +514,37 @@ TEST(Fnv1a64, KnownVectorsAndIncrementalUpdate) {
     std::uint64_t inc = Fnv1a64Update(kFnv1a64Offset, s.data(), 3);
     inc = Fnv1a64Update(inc, s.data() + 3, 3);
     EXPECT_EQ(inc, Fnv1a64(s.data(), s.size()));
+}
+
+TEST(Xxh64, KnownVectors) {
+    EXPECT_EQ(Xxh64(nullptr, 0), 0xEF46DB3751D8E999ULL);
+    EXPECT_EQ(Xxh64("a", 1), 0xD24EC4F1A98C6E5BULL);
+    EXPECT_EQ(Xxh64("abc", 3), 0x44BC2CF5AD770999ULL);
+    // 39 bytes: one 32-byte stripe, then the 4-byte and 1-byte tails.
+    const std::string s = "Nobody inspects the spammish repetition";
+    EXPECT_EQ(Xxh64(s.data(), s.size()), 0xFBCEA83C8A378BF1ULL);
+}
+
+TEST(Xxh64, EveryLengthAndAlignmentMatchesAnAlignedCopy) {
+    // Lengths 0..100 cover no stripe, one to three 32-byte stripes, and
+    // every combination of the 8-, 4- and 1-byte tails.
+    alignas(8) std::uint8_t src[100];
+    for (std::size_t i = 0; i < sizeof src; ++i) {
+        src[i] = static_cast<std::uint8_t>(i * 151 + 3);
+    }
+    alignas(8) std::uint8_t shifted[100 + 8];
+    std::set<std::uint64_t> distinct;
+    for (std::size_t len = 0; len <= 100; ++len) {
+        const std::uint64_t want = Xxh64(src, len);
+        distinct.insert(want);
+        for (std::size_t offset = 1; offset < 8; ++offset) {
+            std::memcpy(shifted + offset, src, len);
+            EXPECT_EQ(Xxh64(shifted + offset, len), want)
+                << "len " << len << " offset " << offset;
+        }
+    }
+    // Every prefix hashes differently: no length is silently truncated.
+    EXPECT_EQ(distinct.size(), 101U);
 }
 
 // ---------- JSON reader ----------
