@@ -1,12 +1,15 @@
 /**
  * @file
- * Cluster persist-pipeline A/B: the monolithic latest-wins blob per rank vs
- * the per-shard keyed commit protocol, with and without unchanged-expert
- * dedup, on a PEC-shaped workload (K changed experts per event, K << N —
- * Section 4.2). Measures persisted bytes and event makespan across a run of
- * checkpoint events, then demonstrates the torn-checkpoint failure mode the
- * commit protocol removes: a mid-event persist fault leaves the generation
- * unsealed and recovery falls back to the previous sealed one.
+ * Cluster persist-pipeline A/B on a PEC-shaped workload (K changed experts
+ * per event, K << N — Section 4.2): ClusterCheckpointEngine's per-shard
+ * keyed commit protocol, with and without unchanged-expert dedup, against
+ * a latest-wins baseline local to this bench — one AsyncCheckpointAgent
+ * per rank persisting the rank's items as one blob "rank<r>/ckpt", with no
+ * versioned keys and no manifest. Measures persisted bytes and event
+ * makespan across a run of checkpoint events, then demonstrates the
+ * torn-checkpoint failure mode the commit protocol removes: a mid-event
+ * persist fault leaves the generation unsealed and recovery falls back to
+ * the previous sealed one.
  *
  * A second A/B targets the hot-expert regime dedup cannot touch: every
  * shard changes ~1% of its chunks every event, so whole-blob identity never
@@ -17,11 +20,15 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <map>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
+#include "ckpt/async_agent.h"
 #include "ckpt/cluster_engine.h"
 #include "core/cluster_recovery.h"
 #include "storage/faulty_store.h"
@@ -66,7 +73,22 @@ BenchCost() {
     return cost;
 }
 
-/** Accumulated outcome of one mode's run. */
+/**
+ * Salt of every planned item's synthetic bytes, all starting at 0. Filled
+ * up front so the rank threads that run the provider only read the map.
+ */
+std::map<std::string, std::uint64_t>
+ZeroVersions(const ShardPlan& plan) {
+    std::map<std::string, std::uint64_t> version;
+    for (RankId r = 0; r < plan.num_ranks(); ++r) {
+        for (const ShardItem& item : plan.Items(r)) {
+            version[item.key] = 0;
+        }
+    }
+    return version;
+}
+
+/** Accumulated outcome of one mode's run (or of one event). */
 struct ModeResult {
     std::size_t keys_written = 0;
     std::size_t keys_deduped = 0;
@@ -75,35 +97,102 @@ struct ModeResult {
     std::size_t sealed = 0;
 };
 
+/** Persists one checkpoint event's state; reports what that event did. */
+using EventFn =
+    std::function<ModeResult(const BlobProvider& provider, std::size_t event)>;
+
 /**
- * Runs @p events PEC-shaped checkpoint events through one engine: every
+ * Runs kEvents PEC-shaped checkpoint events through @p checkpoint: every
  * event trains the dense shards and K experts (round-robin), leaving the
  * other N-K experts bit-identical — the state dedup keys on.
  */
 ModeResult
-RunMode(ClusterCheckpointEngine& engine, const ShardPlan& plan) {
-    std::map<std::string, std::uint64_t> version;
+RunMode(const ShardPlan& plan, const EventFn& checkpoint) {
+    std::map<std::string, std::uint64_t> version = ZeroVersions(plan);
     std::size_t next_expert = 0;
     const BlobProvider provider = [&version](const ShardItem& item) {
-        return SyntheticShardBytes(item, version[item.key]);
+        return SyntheticShardBytes(item, version.at(item.key));
     };
     ModeResult result;
     for (std::size_t event = 1; event <= kEvents; ++event) {
         for (RankId r = 0; r < kRanks; ++r) {
-            ++version["dense/" + std::to_string(r)];
+            ++version.at("dense/" + std::to_string(r));
         }
         for (std::size_t k = 0; k < kPecK; ++k) {
             const std::size_t id = next_expert++ % (kRanks * kExpertsPerRank);
-            ++version["expert/" + std::to_string(id) + "/w"];
+            ++version.at("expert/" + std::to_string(id) + "/w");
         }
-        const auto stats = engine.Execute(plan, provider, event);
-        result.keys_written += stats.keys_persisted;
-        result.keys_deduped += stats.keys_deduped;
-        result.bytes_persisted += stats.bytes_persisted;
-        result.total_makespan += stats.total_makespan;
-        result.sealed += stats.sealed ? 1 : 0;
+        const ModeResult r = checkpoint(provider, event);
+        result.keys_written += r.keys_written;
+        result.keys_deduped += r.keys_deduped;
+        result.bytes_persisted += r.bytes_persisted;
+        result.total_makespan += r.total_makespan;
+        result.sealed += r.sealed;
     }
     return result;
+}
+
+/** One event through the engine's commit protocol. */
+EventFn
+EngineEvent(ClusterCheckpointEngine& engine, const ShardPlan& plan) {
+    return [&engine, &plan](const BlobProvider& provider, std::size_t event) {
+        const auto stats = engine.Execute(plan, provider, event);
+        ModeResult r;
+        r.keys_written = stats.keys_persisted;
+        r.keys_deduped = stats.keys_deduped;
+        r.bytes_persisted = stats.bytes_persisted;
+        r.total_makespan = stats.total_makespan;
+        r.sealed = stats.sealed ? 1 : 0;
+        return r;
+    };
+}
+
+/**
+ * One event of the latest-wins baseline: each rank thread concatenates its
+ * items and hands them to its agent as one blob that overwrites
+ * "rank<r>/ckpt", as the engine's rank threads hand over their shards. The
+ * event ends when every agent drained. Nothing is sealed: a fault
+ * mid-event leaves a mix of old and new rank blobs with no record of which
+ * is which.
+ */
+EventFn
+MonolithicEvent(std::vector<std::unique_ptr<AsyncCheckpointAgent>>& agents,
+                const ShardPlan& plan) {
+    return [&agents, &plan](const BlobProvider& provider, std::size_t event) {
+        std::vector<AgentStats> before;
+        for (const auto& agent : agents) {
+            before.push_back(agent->stats());
+        }
+        WallClock clock;
+        const Seconds start = clock.Now();
+        std::vector<std::thread> ranks;
+        for (RankId r = 0; r < agents.size(); ++r) {
+            ranks.emplace_back([&agents, &plan, &provider, event, r] {
+                Blob payload;
+                for (const ShardItem& item : plan.Items(r)) {
+                    const Blob piece = provider(item);
+                    payload.insert(payload.end(), piece.begin(), piece.end());
+                }
+                agents[r]->RequestCheckpoint(std::move(payload), event);
+                agents[r]->WaitSnapshotComplete();
+            });
+        }
+        for (auto& rank : ranks) {
+            rank.join();
+        }
+        for (auto& agent : agents) {
+            agent->Drain();
+        }
+        ModeResult r;
+        r.total_makespan = clock.Now() - start;
+        for (std::size_t i = 0; i < agents.size(); ++i) {
+            const AgentStats after = agents[i]->stats();
+            r.keys_written +=
+                after.checkpoints_persisted - before[i].checkpoints_persisted;
+            r.bytes_persisted += after.bytes_persisted - before[i].bytes_persisted;
+        }
+        return r;
+    };
 }
 
 // --- hot-expert churn scenario -------------------------------------------
@@ -168,14 +257,14 @@ RunHotMode(ClusterCheckpointEngine& engine, const ShardPlan& plan) {
 
 int
 main() {
-    PrintHeader("persist-pipeline", "monolithic vs per-shard keyed commit");
+    PrintHeader("persist-pipeline", "latest-wins blobs vs per-shard keyed commit");
     std::printf("%zu ranks x %zu experts, K=%zu changed per event, %zu events\n",
                 kRanks, kExpertsPerRank, kPecK, kEvents);
 
     const auto plan = PecPlan();
     struct Mode {
         const char* name;
-        bool per_shard;
+        bool engine;
         bool dedup;
     };
     const Mode modes[] = {{"monolithic", false, false},
@@ -194,11 +283,20 @@ main() {
     for (const auto& mode : modes) {
         PersistentStore store(
             {.write_bandwidth = 50e6, .read_bandwidth = 200e6, .latency = 0.0});
-        ClusterEngineOptions opt;
-        opt.per_shard = mode.per_shard;
-        opt.dedup = mode.dedup;
-        ClusterCheckpointEngine engine(store, kRanks, BenchCost(), opt);
-        const ModeResult r = RunMode(engine, plan);
+        ModeResult r;
+        if (mode.engine) {
+            ClusterEngineOptions opt;
+            opt.dedup = mode.dedup;
+            ClusterCheckpointEngine engine(store, kRanks, BenchCost(), opt);
+            r = RunMode(plan, EngineEvent(engine, plan));
+        } else {
+            std::vector<std::unique_ptr<AsyncCheckpointAgent>> agents;
+            for (RankId rank = 0; rank < kRanks; ++rank) {
+                agents.push_back(std::make_unique<AsyncCheckpointAgent>(
+                    store, "rank" + std::to_string(rank), BenchCost()));
+            }
+            r = RunMode(plan, MonolithicEvent(agents, plan));
+        }
         t.AddRow({mode.name, std::to_string(r.keys_written),
                   std::to_string(r.keys_deduped), FormatBytes(r.bytes_persisted),
                   Table::Num(r.total_makespan, 3), std::to_string(r.sealed)});
@@ -236,13 +334,13 @@ main() {
             {.write_bandwidth = 50e6, .read_bandwidth = 200e6, .latency = 0.0});
         FaultyStore store(base, /*seed=*/2024);
         ClusterCheckpointEngine engine(store, kRanks, BenchCost());
-        std::map<std::string, std::uint64_t> version;
+        std::map<std::string, std::uint64_t> version = ZeroVersions(plan);
         const BlobProvider provider = [&version](const ShardItem& item) {
-            return SyntheticShardBytes(item, version[item.key]);
+            return SyntheticShardBytes(item, version.at(item.key));
         };
         auto train = [&version](std::uint64_t event) {
             for (RankId r = 0; r < kRanks; ++r) {
-                version["dense/" + std::to_string(r)] = event;
+                version.at("dense/" + std::to_string(r)) = event;
             }
         };
         train(1);
@@ -289,7 +387,6 @@ main() {
                                    .read_bandwidth = 200e6,
                                    .latency = 0.0});
             ClusterEngineOptions opt;
-            opt.per_shard = true;
             opt.dedup = true;
             opt.delta = delta;
             opt.delta_chunk_bytes = kHotChunkBytes;

@@ -8,6 +8,26 @@
 
 namespace moc {
 
+namespace {
+
+/** agent.persist_*: what one persist phase (a blob or a shard batch) moved. */
+void
+RecordPersist(Bytes bytes, Seconds seconds, bool failed) {
+    static obs::Counter& persist_bytes =
+        obs::MetricsRegistry::Instance().GetCounter("agent.persist_bytes");
+    static obs::Histogram& persist_seconds =
+        obs::MetricsRegistry::Instance().GetHistogram("agent.persist_seconds");
+    static obs::Counter& failures =
+        obs::MetricsRegistry::Instance().GetCounter("agent.persist_failures");
+    persist_bytes.Add(bytes);
+    persist_seconds.Observe(seconds);
+    if (failed) {
+        failures.Add();
+    }
+}
+
+}  // namespace
+
 AsyncCheckpointAgent::AsyncCheckpointAgent(PersistentStore& store,
                                            std::string key_prefix,
                                            const AgentCostModel& cost)
@@ -209,23 +229,15 @@ AsyncCheckpointAgent::PersistLoop() {
             store_.Put(key_prefix_ + "/ckpt", slot.data);
         } catch (const StoreError& e) {
             persisted = false;
-            static obs::Counter& failures =
-                obs::MetricsRegistry::Instance().GetCounter(
-                    "agent.persist_failures");
-            failures.Add();
             MOC_WARN << "agent: persist of iteration " << slot.iteration
                      << " failed (" << StoreErrorKindName(e.kind())
                      << "); checkpoint dropped";
         }
-        static obs::Counter& persist_bytes =
-            obs::MetricsRegistry::Instance().GetCounter("agent.persist_bytes");
-        static obs::Histogram& persist_seconds =
-            obs::MetricsRegistry::Instance().GetHistogram("agent.persist_seconds");
-        persist_seconds.Observe(write_time * cost_.time_scale);
+        RecordPersist(persisted ? slot.data.size() : 0,
+                      write_time * cost_.time_scale, !persisted);
         {
             std::lock_guard<std::mutex> lock(mu_);
             if (persisted) {
-                persist_bytes.Add(slot.data.size());
                 stats_.bytes_persisted += slot.data.size();
                 ++stats_.checkpoints_persisted;
                 latest_persisted_ = slot.iteration;
@@ -249,12 +261,15 @@ AsyncCheckpointAgent::PersistShards(TripleBuffer::Slot& slot) {
     // The pipeline's workers charge the write cost and run the commit
     // protocol (versioned keys, verify, dedup, manifest records); the agent
     // only waits for its own batch so the buffer can rotate.
+    const Seconds start = clock_.Now();
     const auto batch = pipeline->MakeBatch();
     for (auto& shard : slot.shards) {
         pipeline->Submit(key_prefix_ + "/" + shard.key, std::move(shard.data),
                          slot.iteration, batch, slot.ctx);
     }
     batch->Wait();
+    RecordPersist(batch->bytes_written(), clock_.Now() - start,
+                  batch->failed() != 0);
     {
         std::lock_guard<std::mutex> lock(mu_);
         stats_.bytes_persisted += batch->bytes_written();

@@ -145,7 +145,7 @@ class AsyncCheckpointAgent {
 
     mutable std::mutex mu_;
     std::condition_variable cv_;
-    /** Per-shard persist sink; nullptr = legacy latest-wins blob path. */
+    /** Per-shard persist sink; nullptr = the latest-wins blob path. */
     PersistPipeline* pipeline_ = nullptr;
     /** Pending snapshot request handed to the snapshot thread. */
     bool snapshot_pending_ = false;

@@ -56,7 +56,7 @@ class TripleBuffer {
 
     /** Payload of one buffer. */
     struct Slot {
-        /** Monolithic payload (legacy latest-wins persist path). */
+        /** Whole-blob payload (the latest-wins persist path). */
         Blob data;
         /** Keyed shards (per-shard persist path); empty in blob mode. */
         std::vector<NamedShard> shards;

@@ -102,7 +102,11 @@ EncodeDelta(const Blob& blob, const std::vector<std::uint32_t>& changed,
         payload += ChunkLen(blob.size(), chunk_bytes, c);
     }
     out.reserve(kHeaderBytes + bitmap_bytes + payload);
-    out.insert(out.end(), kMagic, kMagic + 4);
+    // Byte by byte: GCC 12 reports a false -Wstringop-overflow on a range
+    // insert into the freshly reserved vector.
+    for (const char c : kMagic) {
+        out.push_back(static_cast<std::uint8_t>(c));
+    }
     PutU32(out, kVersion);
     PutU64(out, blob.size());
     PutU64(out, base_iteration);

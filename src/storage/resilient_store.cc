@@ -96,9 +96,6 @@ ResilientStore::Put(const std::string& key, Blob blob) {
             last_error = e.what();
             continue;
         }
-        if (!policy_.verify_after_write) {
-            return;
-        }
         std::optional<Blob> readback;
         try {
             readback = base_.Get(key);
@@ -197,7 +194,7 @@ ResilientStore::GetChecked(const std::string& key,
             read_repairs.Add();
             MOC_WARN << "store: read-repaired " << key << " from a replica";
             try {
-                // Put through ourselves: retried and (optionally) verified.
+                // Put through ourselves: retried and verified.
                 const_cast<ResilientStore*>(this)->Put(key, *replica);
             } catch (const StoreError&) {
                 // Repair write failed; the replica bytes are still good.

@@ -9,8 +9,8 @@
  *
  *   - every operation retries transient backend errors under bounded
  *     exponential backoff with seeded jitter, up to a per-op deadline;
- *   - writes are read back and CRC-verified (verify_after_write), so torn,
- *     bit-flipped, and lost writes surface at save time, not recovery time;
+ *   - every write is read back and CRC-verified, so torn, bit-flipped, and
+ *     lost writes surface at save time, not recovery time;
  *   - GetChecked verifies reads against the CRC the manifest recorded at
  *     write time and can read-repair from a caller-supplied replica source
  *     (surviving DP/EP memory copies, a versioned twin key).
@@ -46,8 +46,6 @@ struct RetryPolicy {
     Seconds op_deadline_s = 0.0;
     /** Seed of the jitter stream. */
     std::uint64_t seed = 0x5EEDULL;
-    /** Read every Put back and CRC-verify it before reporting success. */
-    bool verify_after_write = true;
 };
 
 /**
@@ -67,8 +65,8 @@ class ResilientStore final : public ObjectStore {
                             RepairSource repair = nullptr);
 
     /**
-     * Stores @p blob under @p key, retrying transient errors and (when
-     * verify_after_write) confirming the stored bytes by CRC read-back.
+     * Stores @p blob under @p key, retrying transient errors and confirming
+     * the stored bytes by CRC read-back.
      * @throws StoreError kTimeout when the retry budget is exhausted.
      */
     void Put(const std::string& key, Blob blob) override;
@@ -91,8 +89,6 @@ class ResilientStore final : public ObjectStore {
     std::vector<std::string> Keys() const override;
     Bytes TotalBytes() const override;
     std::size_t Count() const override;
-
-    const RetryPolicy& policy() const { return policy_; }
 
   private:
     /** Sleeps the backoff for @p attempt (0-based) with seeded jitter. */

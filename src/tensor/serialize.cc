@@ -15,8 +15,11 @@ constexpr std::uint32_t kMagic = 0x4D4F4354;  // "MOCT"
 template <typename T>
 void
 Append(std::vector<std::uint8_t>& out, T value) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
-    out.insert(out.end(), p, p + sizeof(T));
+    // resize + memcpy, not a range insert: GCC 12 at -O3 reports a false
+    // -Wstringop-overflow on the inlined insert after the caller's reserve.
+    const std::size_t at = out.size();
+    out.resize(at + sizeof(T));
+    std::memcpy(out.data() + at, &value, sizeof(T));
 }
 
 template <typename T>

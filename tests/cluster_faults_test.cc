@@ -16,6 +16,7 @@
 #include "ckpt/persist_pipeline.h"
 #include "cli_lib.h"
 #include "core/cluster_recovery.h"
+#include "obs/metrics.h"
 #include "storage/faulty_store.h"
 #include "storage/file_store.h"
 #include "storage/persistent_store.h"
@@ -330,18 +331,38 @@ TEST(ClusterFaults, PerShardStatsReportPerCallDeltas) {
     EXPECT_EQ(first.bytes_persisted, second.bytes_persisted);
 }
 
-TEST(ClusterFaults, MonolithicStatsReportPerCallDeltas) {
-    PersistentStore store({.write_bandwidth = 1e9, .read_bandwidth = 1e9,
-                           .latency = 0.0});
-    ClusterEngineOptions opt;
-    opt.per_shard = false;
-    ClusterCheckpointEngine engine(store, 2, FastCost(), opt);
+TEST(ClusterFaults, AgentPersistMetricsFollowTheShardPath) {
+    // Regression: agent.persist_* moved only on the agent's blob path, so
+    // every engine event left them at zero.
+    auto& registry = obs::MetricsRegistry::Instance();
+    const obs::Counter& bytes = registry.GetCounter("agent.persist_bytes");
+    const obs::Counter& failures =
+        registry.GetCounter("agent.persist_failures");
+    const obs::Histogram& seconds =
+        registry.GetHistogram("agent.persist_seconds");
+    PersistentStore base({.write_bandwidth = 1e9, .read_bandwidth = 1e9,
+                          .latency = 0.0});
+    FaultyStore store(base, /*seed=*/5);
+    ClusterCheckpointEngine engine(store, 2, FastCost());
     const auto plan = ExpertPlan(2, 2);
-    const auto first = engine.Execute(plan, SyntheticBlobProvider(1), 1);
-    const auto second = engine.Execute(plan, SyntheticBlobProvider(2), 2);
-    EXPECT_EQ(first.keys_persisted, 2U);   // one blob per rank
-    EXPECT_EQ(second.keys_persisted, 2U);  // not 4: per-call, not lifetime
-    EXPECT_EQ(first.bytes_persisted, second.bytes_persisted);
+
+    const std::uint64_t bytes_before = bytes.value();
+    const std::uint64_t batches_before = seconds.count();
+    const auto ok = engine.Execute(plan, SyntheticBlobProvider(1), 1);
+    ASSERT_TRUE(ok.sealed);
+    EXPECT_GT(ok.bytes_persisted, 0U);
+    EXPECT_EQ(bytes.value() - bytes_before, ok.bytes_persisted);
+    EXPECT_EQ(seconds.count() - batches_before, 2U);  // one batch per rank
+
+    // Every write of the next event fails: each rank's batch counts once.
+    const std::uint64_t failures_before = failures.value();
+    StorageFaultProfile profile;
+    profile.put_transient_error = 1.0;
+    store.Arm(profile);
+    const auto torn = engine.Execute(plan, SyntheticBlobProvider(2), 2);
+    store.Disarm();
+    EXPECT_FALSE(torn.sealed);
+    EXPECT_EQ(failures.value() - failures_before, 2U);
 }
 
 TEST(ClusterFaults, UnchangedEventDedupsEverything) {

@@ -25,6 +25,15 @@ Pattern(std::size_t size) {
     return blob;
 }
 
+/**
+ * "k<i>". Built by appending: GCC 12 at -O3 reports a false -Wrestrict on
+ * `"k" + std::to_string(i)`, which fails the -Werror Release build.
+ */
+std::string
+Key(int i) {
+    return std::string("k").append(std::to_string(i));
+}
+
 /** Bits differing between two equal-length blobs. */
 std::size_t
 BitDiff(const Blob& a, const Blob& b) {
@@ -155,8 +164,8 @@ TEST(FaultyStore, SameSeedSameFaultSequence) {
         std::string trace;
         for (int i = 0; i < 64; ++i) {
             try {
-                store.Put("k" + std::to_string(i), Pattern(32));
-                const auto blob = base.Get("k" + std::to_string(i));
+                store.Put(Key(i), Pattern(32));
+                const auto blob = base.Get(Key(i));
                 trace += blob && blob->size() == 32 ? 'o' : 't';
             } catch (const StoreError&) {
                 trace += 'x';

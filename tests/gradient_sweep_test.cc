@@ -92,13 +92,25 @@ INSTANTIATE_TEST_SUITE_P(
                       BlockShape{12, 2, 6, 4, true, 4, 2, true},
                       BlockShape{8, 1, 8, 6, true, 8, 2, true}),
     [](const auto& info) {
+        // Appended piecewise: GCC 12 at -O3 reports a false -Wrestrict on
+        // `"h" + std::to_string(...)`.
         const BlockShape& p = info.param;
-        return "h" + std::to_string(p.hidden) + "n" + std::to_string(p.heads) +
-               "s" + std::to_string(p.seq) +
-               (p.moe ? "moe" + std::to_string(p.experts) + "k" +
-                            std::to_string(p.top_k)
-                      : std::string("dense")) +
-               (p.causal ? "causal" : "bidir");
+        std::string name = "h";
+        name += std::to_string(p.hidden);
+        name += 'n';
+        name += std::to_string(p.heads);
+        name += 's';
+        name += std::to_string(p.seq);
+        if (p.moe) {
+            name += "moe";
+            name += std::to_string(p.experts);
+            name += 'k';
+            name += std::to_string(p.top_k);
+        } else {
+            name += "dense";
+        }
+        name += p.causal ? "causal" : "bidir";
+        return name;
     });
 
 }  // namespace

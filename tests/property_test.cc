@@ -83,8 +83,13 @@ INSTANTIATE_TEST_SUITE_P(
                       NkParam{16, 4}, NkParam{16, 7}, NkParam{16, 16},
                       NkParam{64, 8}, NkParam{64, 13}),
     [](const auto& info) {
-        return "N" + std::to_string(std::get<0>(info.param)) + "K" +
-               std::to_string(std::get<1>(info.param));
+        // Appended piecewise: GCC 12 at -O3 reports a false -Wrestrict on
+        // `"N" + std::to_string(...)`.
+        std::string name = "N";
+        name += std::to_string(std::get<0>(info.param));
+        name += 'K';
+        name += std::to_string(std::get<1>(info.param));
+        return name;
     });
 
 // ---------- Sharding properties across the topology grid ----------

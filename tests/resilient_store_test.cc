@@ -29,6 +29,15 @@ Pattern(std::size_t size) {
     return blob;
 }
 
+/**
+ * "k<i>". Built by appending: GCC 12 at -O3 reports a false -Wrestrict on
+ * `"k" + std::to_string(i)`, which fails the -Werror Release build.
+ */
+std::string
+Key(int i) {
+    return std::string("k").append(std::to_string(i));
+}
+
 std::uint32_t
 CrcOf(const Blob& blob) {
     return Crc32c(blob.data(), blob.size());
@@ -62,11 +71,11 @@ TEST(ResilientStore, PutRetriesTransientErrors) {
     flaky.Arm(profile);
     ResilientStore store(flaky, FastPolicy(/*attempts=*/16));
     for (int i = 0; i < 32; ++i) {
-        store.Put("k" + std::to_string(i), Pattern(48));
+        store.Put(Key(i), Pattern(48));
     }
     flaky.Disarm();
     for (int i = 0; i < 32; ++i) {
-        EXPECT_EQ(*base.Get("k" + std::to_string(i)), Pattern(48));
+        EXPECT_EQ(*base.Get(Key(i)), Pattern(48));
     }
     EXPECT_GT(flaky.injected().transient_errors, 0u);
 }
@@ -99,11 +108,11 @@ TEST(ResilientStore, WriteVerificationDefeatsSilentWriteFaults) {
     flaky.Arm(profile);
     ResilientStore store(flaky, FastPolicy(/*attempts=*/32));
     for (int i = 0; i < 24; ++i) {
-        store.Put("k" + std::to_string(i), Pattern(96));
+        store.Put(Key(i), Pattern(96));
     }
     flaky.Disarm();
     for (int i = 0; i < 24; ++i) {
-        EXPECT_EQ(*base.Get("k" + std::to_string(i)), Pattern(96))
+        EXPECT_EQ(*base.Get(Key(i)), Pattern(96))
             << "silent write fault survived verification on k" << i;
     }
     EXPECT_GT(flaky.injected().Total(), 0u);

@@ -27,7 +27,8 @@ UniqueTempPath(const std::string& stem) {
             ::testing::UnitTest::GetInstance()->current_test_info()) {
         name += std::string("_") + info->test_suite_name() + "_" + info->name();
     }
-    name += "_" + std::to_string(::getpid());
+    name += '_';  // appended apart: GCC 12 -O3 false -Wrestrict on "_" + s
+    name += std::to_string(::getpid());
     // Parameterized test names carry '/'.
     std::replace(name.begin(), name.end(), '/', '_');
     return std::filesystem::temp_directory_path() / name;
