@@ -1,8 +1,9 @@
 /**
  * @file
  * Micro-benchmarks (google-benchmark) for the hot paths of the MoC system:
- * sequential selection, shard planning, tensor serialization, CRC32, the
- * manifest, MoE forward/backward, and the checkpoint save path.
+ * sequential selection, shard planning, tensor and param-list
+ * (de)serialization, CRC-32 and CRC-32C, the manifest, MoE
+ * forward/backward, and the checkpoint save path.
  */
 
 #include <benchmark/benchmark.h>
@@ -66,16 +67,91 @@ BM_TensorRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_TensorRoundTrip);
 
+/** Shared body of the CRC benches: @p crc over a range(0)-byte buffer. */
+template <typename Fn>
 void
-BM_Crc32(benchmark::State& state) {
+CrcBench(benchmark::State& state, Fn crc) {
     std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)), 0x5A);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(Crc32(data.data(), data.size()));
+        benchmark::DoNotOptimize(crc(data.data(), data.size()));
     }
     state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                             state.range(0));
 }
-BENCHMARK(BM_Crc32)->Arg(4096)->Arg(1 << 20);
+
+void
+BM_Crc32(benchmark::State& state) {
+    CrcBench(state, Crc32);
+}
+BENCHMARK(BM_Crc32)->Arg(4096)->Arg(1 << 20)->Arg(16 << 20);
+
+void
+BM_Crc32c(benchmark::State& state) {
+    CrcBench(state, Crc32c);
+}
+BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(1 << 20)->Arg(16 << 20);
+
+/** The tiny MoE language model the model-level benches share. */
+LmConfig
+TinyMoeConfig(std::size_t experts) {
+    LmConfig cfg;
+    cfg.vocab = 64;
+    cfg.max_seq = 16;
+    cfg.hidden = 32;
+    cfg.num_heads = 2;
+    cfg.head_dim = 16;
+    cfg.num_layers = 2;
+    cfg.ffn_mult = 2;
+    cfg.num_experts = experts;
+    return cfg;
+}
+
+/** SerializeParamList over every group of the tiny MoE, weights and moments:
+    the facade's serialize stage for one full checkpoint. */
+void
+BM_SerializeParamList(benchmark::State& state) {
+    MoeTransformerLm model(TinyMoeConfig(8));
+    const auto groups = model.ParameterGroups();
+    std::int64_t bytes = 0;
+    for (auto _ : state) {
+        for (const auto& group : groups) {
+            for (const bool weights : {true, false}) {
+                const Blob blob = SerializeParamList(group.params, weights);
+                bytes += static_cast<std::int64_t>(blob.size());
+                benchmark::DoNotOptimize(blob.data());
+                benchmark::ClobberMemory();
+            }
+        }
+    }
+    state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_SerializeParamList);
+
+/** DeserializeParamList of the same blobs back into the model. */
+void
+BM_DeserializeParamList(benchmark::State& state) {
+    MoeTransformerLm model(TinyMoeConfig(8));
+    const auto groups = model.ParameterGroups();
+    std::vector<Blob> blobs;
+    for (const auto& group : groups) {
+        for (const bool weights : {true, false}) {
+            blobs.push_back(SerializeParamList(group.params, weights));
+        }
+    }
+    std::int64_t bytes = 0;
+    for (auto _ : state) {
+        std::size_t i = 0;
+        for (const auto& group : groups) {
+            for (const bool weights : {true, false}) {
+                DeserializeParamList(blobs[i], group.params, weights);
+                bytes += static_cast<std::int64_t>(blobs[i++].size());
+            }
+        }
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_DeserializeParamList);
 
 void
 BM_MatMul(benchmark::State& state) {
@@ -91,16 +167,8 @@ BENCHMARK(BM_MatMul)->Arg(32)->Arg(128);
 
 void
 BM_MoeForwardBackward(benchmark::State& state) {
-    LmConfig cfg;
-    cfg.vocab = 64;
-    cfg.max_seq = 16;
-    cfg.hidden = 32;
-    cfg.num_heads = 2;
-    cfg.head_dim = 16;
-    cfg.num_layers = 2;
-    cfg.ffn_mult = 2;
-    cfg.num_experts = static_cast<std::size_t>(state.range(0));
-    MoeTransformerLm model(cfg);
+    MoeTransformerLm model(
+        TinyMoeConfig(static_cast<std::size_t>(state.range(0))));
     LmBatch batch;
     batch.batch = 4;
     batch.seq = 16;
@@ -130,15 +198,7 @@ BENCHMARK(BM_ManifestLookup);
 
 void
 BM_CheckpointEvent(benchmark::State& state) {
-    LmConfig cfg;
-    cfg.vocab = 64;
-    cfg.max_seq = 16;
-    cfg.hidden = 32;
-    cfg.num_heads = 2;
-    cfg.head_dim = 16;
-    cfg.num_layers = 2;
-    cfg.ffn_mult = 2;
-    cfg.num_experts = 8;
+    const LmConfig cfg = TinyMoeConfig(8);
     MoeTransformerLm model(cfg);
     RankTopology topo({.dp = 8, .ep = 8, .tp = 1, .pp = 1}, 4);
     MocSystemConfig sys_cfg;

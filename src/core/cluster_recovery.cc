@@ -20,7 +20,9 @@ constexpr std::size_t kMaxChainDepth = 64;
  * Reconstructs one manifest-recorded version's logical bytes and verifies
  * them against the record:
  *
- *  - a dedup ref recurses into the referenced iteration's version;
+ *  - a dedup ref recurses into the referenced iteration's version; the
+ *    bytes are re-hashed only when the ref's record differs from the
+ *    base's, since the recursion already checked them against the base;
  *  - a delta version reads its record at DeltaShardKey (verified against
  *    the record's physical delta_bytes/delta_crc), recursively
  *    reconstructs the base iteration, and applies the delta;
@@ -47,7 +49,11 @@ ReconstructVerified(const CheckpointManifest& manifest, const ObjectStore& store
         if (base.has_value() && !base->ref.has_value()) {
             auto blob =
                 ReconstructVerified(manifest, store, key, *base, depth + 1);
-            if (blob.has_value() && logical_ok(*blob)) {
+            // The base's bytes passed the base record's (size, CRC-32C)
+            // check; hash them again only if the ref records another one.
+            const bool same_record =
+                base->bytes == version.bytes && base->crc == version.crc;
+            if (blob.has_value() && (same_record || logical_ok(*blob))) {
                 return blob;
             }
         }

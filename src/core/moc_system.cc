@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
 
 #include "obs/expert_stats.h"
 #include "obs/journal.h"
@@ -80,21 +81,39 @@ ReadPod(const Blob& in, std::size_t& offset) {
     return value;
 }
 
+/** Calls @p fn on each tensor of a param-list blob, in blob order. */
+template <typename Fn>
 void
-AppendTensor(Blob& out, const Tensor& t) {
-    const auto blob = SerializeTensor(t);
-    AppendPod(out, static_cast<std::uint64_t>(blob.size()));
-    out.insert(out.end(), blob.begin(), blob.end());
+ForEachListedTensor(const std::vector<Parameter*>& params, bool weights,
+                    Fn&& fn) {
+    for (const auto* p : params) {
+        if (weights) {
+            fn(p->value());
+        } else {
+            fn(p->adam_m());
+            fn(p->adam_v());
+        }
+    }
 }
 
-Tensor
-ReadTensor(const Blob& in, std::size_t& offset) {
+template <typename T>
+void
+WritePod(std::uint8_t*& at, T value) {
+    std::memcpy(at, &value, sizeof(T));
+    at += sizeof(T);
+}
+
+/** Checks the size-prefixed tensor record at @p offset where it sits. */
+TensorRecord
+ReadRecord(const Blob& in, std::size_t& offset) {
     const auto size = static_cast<std::size_t>(ReadPod<std::uint64_t>(in, offset));
-    MOC_CHECK_ARG(offset + size <= in.size(), "blob truncated");
-    Blob piece(in.begin() + static_cast<long>(offset),
-               in.begin() + static_cast<long>(offset + size));
+    // Not offset + size > in.size(): a size near 2^64 would wrap that sum.
+    if (size > in.size() - offset) {
+        throw std::runtime_error("DeserializeParamList: record overruns the blob");
+    }
+    TensorRecord record = ParseTensorRecord(in.data() + offset, size);
     offset += size;
-    return DeserializeTensor(piece);
+    return record;
 }
 
 bool
@@ -113,18 +132,19 @@ BaseKey(const std::string& key) {
 
 Blob
 SerializeParamList(const std::vector<Parameter*>& params, bool weights) {
-    Blob out;
-    const std::uint32_t count =
-        static_cast<std::uint32_t>(params.size()) * (weights ? 1 : 2);
-    AppendPod(out, count);
-    for (const auto* p : params) {
-        if (weights) {
-            AppendTensor(out, p->value());
-        } else {
-            AppendTensor(out, p->adam_m());
-            AppendTensor(out, p->adam_v());
-        }
-    }
+    // One blob of the exact size; each record (u64 size, tensor bytes with
+    // their CRC trailer) is written straight into it.
+    std::size_t total = sizeof(std::uint32_t);
+    ForEachListedTensor(params, weights, [&total](const Tensor& t) {
+        total += sizeof(std::uint64_t) + SerializedTensorSize(t);
+    });
+    Blob out(total);
+    std::uint8_t* at = out.data();
+    WritePod(at, static_cast<std::uint32_t>(params.size()) * (weights ? 1 : 2));
+    ForEachListedTensor(params, weights, [&at](const Tensor& t) {
+        WritePod(at, static_cast<std::uint64_t>(SerializedTensorSize(t)));
+        at += SerializeTensor(t, at);
+    });
     return out;
 }
 
@@ -136,20 +156,22 @@ DeserializeParamList(const Blob& blob, const std::vector<Parameter*>& params,
     const std::uint32_t expected =
         static_cast<std::uint32_t>(params.size()) * (weights ? 1 : 2);
     MOC_CHECK_ARG(count == expected, "parameter count mismatch in checkpoint blob");
+    // Every record is checked before its bytes are copied into the tensor
+    // the parameter already owns: no allocation, no zero-fill, no free.
     for (auto* p : params) {
         if (weights) {
-            Tensor t = ReadTensor(blob, offset);
-            MOC_CHECK_ARG(t.shape() == p->value().shape(),
+            const TensorRecord t = ReadRecord(blob, offset);
+            MOC_CHECK_ARG(t.shape == p->value().shape(),
                           "shape mismatch restoring " << p->name());
-            p->value() = std::move(t);
+            t.CopyTo(p->value());
         } else {
-            Tensor m = ReadTensor(blob, offset);
-            Tensor v = ReadTensor(blob, offset);
-            MOC_CHECK_ARG(m.shape() == p->adam_m().shape() &&
-                              v.shape() == p->adam_v().shape(),
+            const TensorRecord m = ReadRecord(blob, offset);
+            const TensorRecord v = ReadRecord(blob, offset);
+            MOC_CHECK_ARG(m.shape == p->adam_m().shape() &&
+                              v.shape == p->adam_v().shape(),
                           "moment shape mismatch restoring " << p->name());
-            p->adam_m() = std::move(m);
-            p->adam_v() = std::move(v);
+            m.CopyTo(p->adam_m());
+            v.CopyTo(p->adam_v());
         }
     }
 }
@@ -633,16 +655,21 @@ MocCheckpointSystem::RecoverFromFault(const std::vector<NodeId>& failed_nodes) {
             MOC_CHECK_ARG(group_it != by_key.end(),
                           "checkpointed key has no model group: " << decision.key);
             const bool is_expert = group_it->second->kind == ModuleKind::kExpert;
-            std::optional<Blob> blob;
+            const auto& params = group_it->second->params;
             std::size_t got_iteration = decision.iteration;
             if (decision.source == RecoverySource::kMemory) {
                 const auto version =
                     manifest_.Latest(StoreLevel::kMemory, decision.key);
                 MOC_ASSERT(version.has_value(), "manifest/plan disagreement");
-                blob = memory_.Node(version->node).Get(decision.key);
-                MOC_ASSERT(blob.has_value(), "memory lost a manifest-tracked "
-                                             "key: " << decision.key);
+                // Restored straight from the replica, without copying it.
+                const bool found = memory_.Node(version->node).Read(
+                    decision.key, [&params, weights](const Blob& blob) {
+                        DeserializeParamList(blob, params, weights);
+                    });
+                MOC_ASSERT(found, "memory lost a manifest-tracked key: "
+                                      << decision.key);
             } else {
+                std::optional<Blob> blob;
                 // Walk the verified-version fallback chain; every damaged
                 // version is marked so later recoveries skip it.
                 for (const auto& version :
@@ -689,8 +716,8 @@ MocCheckpointSystem::RecoverFromFault(const std::vector<NodeId>& failed_nodes) {
                                    std::to_string(got_iteration) +
                                    ";reason=corrupt_shard"});
                 }
+                DeserializeParamList(*blob, params, weights);
             }
-            DeserializeParamList(*blob, group_it->second->params, weights);
             restored_iteration[decision.key] = got_iteration;
         }
         if (generation_ok) {

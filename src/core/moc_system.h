@@ -193,10 +193,22 @@ class MocCheckpointSystem {
     std::size_t ckpt_count_ = 0;
 };
 
-/** Serializes the weights (or Adam moments) of a parameter list. */
+/**
+ * Serializes the weights (or Adam moments) of a parameter list: a u32
+ * tensor count, then per tensor a u64 size and SerializeTensor's bytes,
+ * written in one pass into a blob of exactly that size.
+ */
 Blob SerializeParamList(const std::vector<Parameter*>& params, bool weights);
 
-/** Restores from a blob produced by SerializeParamList. */
+/**
+ * Restores from a blob produced by SerializeParamList, checking each tensor
+ * record where it sits in @p blob and copying its data into the tensor the
+ * parameter already owns (no allocation). A weight is copied once its record
+ * passes; a moment pair once both of its records pass.
+ * @throws std::runtime_error when a record overruns the blob or fails
+ *         DeserializeTensor; std::invalid_argument on a truncated header or
+ *         a count or shape that does not match @p params.
+ */
 void DeserializeParamList(const Blob& blob, const std::vector<Parameter*>& params,
                           bool weights);
 

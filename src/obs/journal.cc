@@ -109,7 +109,7 @@ EventJournal::Append(JournalEvent event) {
 std::vector<JournalEvent>
 EventJournal::Collect() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return events_;
+    return {events_.begin(), events_.end()};
 }
 
 std::size_t

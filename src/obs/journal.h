@@ -21,6 +21,7 @@
  */
 
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -135,7 +136,11 @@ class EventJournal {
     EventJournal() = default;
 
     mutable std::mutex mu_;
-    std::vector<JournalEvent> events_;
+    /** A deque, not a vector: the buffer grows in fixed blocks, so an
+        append never copies every buffered event into a buffer twice the
+        size, and memory follows the event count instead of jumping at
+        each power of two. */
+    std::deque<JournalEvent> events_;
     std::uint64_t next_seq_ = 0;
     std::uint64_t dropped_ = 0;
 };

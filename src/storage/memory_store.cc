@@ -31,6 +31,18 @@ MemoryStore::Get(const std::string& key) const {
 }
 
 bool
+MemoryStore::Read(const std::string& key,
+                  const std::function<void(const Blob&)>& fn) const {
+    std::shared_lock lock(mu_);
+    auto it = data_.find(key);
+    if (it == data_.end()) {
+        return false;
+    }
+    fn(it->second);
+    return true;
+}
+
+bool
 MemoryStore::Contains(const std::string& key) const {
     std::shared_lock lock(mu_);
     return data_.count(key) > 0;

@@ -9,6 +9,7 @@
  * tolerate (Section 5.1).
  */
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <shared_mutex>
@@ -34,6 +35,14 @@ class MemoryStore final : public ObjectStore {
     std::vector<std::string> Keys() const override;
     Bytes TotalBytes() const override;
     std::size_t Count() const override;
+
+    /**
+     * Calls @p fn on the stored blob of @p key without copying it, under
+     * the shared lock, so @p fn must not write to this store.
+     * @return false (and @p fn is not called) when @p key is absent.
+     */
+    bool Read(const std::string& key,
+              const std::function<void(const Blob&)>& fn) const;
 
     /** Drops every key (node failure / restart). */
     void Clear();

@@ -7,7 +7,9 @@
 
 #if defined(__x86_64__)
 #include <nmmintrin.h>
-#define MOC_CRC32C_HW 1
+#include <smmintrin.h>
+#include <wmmintrin.h>
+#define MOC_CRC_X86 1
 #endif
 
 namespace moc {
@@ -67,12 +69,18 @@ TableUpdate(const SliceTables& t, std::uint32_t crc, const void* data,
 }
 
 const SliceTables&
+IeeeTables() {
+    static const auto tables = MakeTables(0xEDB88320U);
+    return tables;
+}
+
+const SliceTables&
 CastagnoliTables() {
     static const auto tables = MakeTables(0x82F63B78U);
     return tables;
 }
 
-#ifdef MOC_CRC32C_HW
+#ifdef MOC_CRC_X86
 
 /**
  * The linear map "feed N zero bytes through the (uninverted) CRC
@@ -168,19 +176,113 @@ HardwareUpdate(std::uint32_t crc, const void* data, std::size_t len) {
     return ~static_cast<std::uint32_t>(c);
 }
 
-#endif  // MOC_CRC32C_HW
+/**
+ * One 128-bit fold step: multiplies the two halves of @p x by the fold
+ * constants in @p k (low half by k's low, high by k's high), which moves
+ * x forward by the distance the constants encode, and adds @p data there.
+ */
+__attribute__((target("pclmul,sse4.1"))) __m128i
+Fold(__m128i x, __m128i k, __m128i data) {
+    return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                       _mm_clmulepi64_si128(x, k, 0x11)),
+                         data);
+}
+
+__attribute__((target("pclmul,sse4.1"))) __m128i
+Load128(const unsigned char* p) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+/**
+ * Carry-less-multiply folding for the reflected IEEE polynomial (Gopal et
+ * al., "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ";
+ * constants as in Linux's crc32-pclmul_asm.S). Four 128-bit lanes fold
+ * 64 bytes per step, fold into one lane, take 16 bytes per step, then
+ * reduce 128 → 64 → 32 bits and finish with a Barrett reduction. Takes
+ * and returns the uninverted register; @p len is a multiple of 16, >= 64.
+ */
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t
+ClmulFold(std::uint32_t crc, const unsigned char* p, std::size_t len) {
+    const __m128i r2r1 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+    const __m128i r4r3 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+    const __m128i r5 = _mm_set_epi64x(0, 0x163cd6124);
+    const __m128i mu_poly = _mm_set_epi64x(0x1F7011641, 0x1DB710641);
+    const __m128i mask32 = _mm_set_epi32(0, 0, 0, -1);
+
+    __m128i x1 = _mm_xor_si128(Load128(p), _mm_cvtsi32_si128(static_cast<int>(crc)));
+    __m128i x2 = Load128(p + 16);
+    __m128i x3 = Load128(p + 32);
+    __m128i x4 = Load128(p + 48);
+    for (p += 64, len -= 64; len >= 64; p += 64, len -= 64) {
+        x1 = Fold(x1, r2r1, Load128(p));
+        x2 = Fold(x2, r2r1, Load128(p + 16));
+        x3 = Fold(x3, r2r1, Load128(p + 32));
+        x4 = Fold(x4, r2r1, Load128(p + 48));
+    }
+    x1 = Fold(x1, r4r3, x2);
+    x1 = Fold(x1, r4r3, x3);
+    x1 = Fold(x1, r4r3, x4);
+    for (; len >= 16; p += 16, len -= 16) {
+        x1 = Fold(x1, r4r3, Load128(p));
+    }
+    // 128 → 64 bits: the low half times R4, added to the high half; this
+    // also appends the 32 zero bits the final reduction expects.
+    x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                       _mm_clmulepi64_si128(x1, r4r3, 0x10));
+    // 64 → 32 bits (R5).
+    x1 = _mm_xor_si128(_mm_srli_si128(x1, 4),
+                       _mm_clmulepi64_si128(_mm_and_si128(x1, mask32), r5,
+                                            0x00));
+    // Bit-reflected Barrett reduction modulo P, with µ = x^64 / P.
+    __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, mask32), mu_poly, 0x10);
+    t = _mm_clmulepi64_si128(_mm_and_si128(t, mask32), mu_poly, 0x00);
+    return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x1, t), 1));
+}
+
+/** IEEE CRC-32 with PCLMULQDQ over whole 16-byte blocks; the sub-64-byte
+    inputs and the tail go through the slice-by-8 tables. */
+std::uint32_t
+ClmulCrc32Update(std::uint32_t crc, const void* data, std::size_t len) {
+    if (len < 64) {
+        return crc32_internal::Crc32SliceBy8Update(crc, data, len);
+    }
+    const auto* p = static_cast<const unsigned char*>(data);
+    const std::size_t blocks = len & ~std::size_t{15};
+    const std::uint32_t reg = ClmulFold(~crc, p, blocks);
+    return crc32_internal::Crc32SliceBy8Update(~reg, p + blocks, len - blocks);
+}
+
+#endif  // MOC_CRC_X86
 
 using UpdateFn = std::uint32_t (*)(std::uint32_t, const void*, std::size_t);
 
 UpdateFn
+ChooseCrc32() {
+#ifdef MOC_CRC_X86
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1")) {
+        return ClmulCrc32Update;
+    }
+#endif
+    return crc32_internal::Crc32SliceBy8Update;
+}
+
+UpdateFn
 ChooseCrc32c() {
-#ifdef MOC_CRC32C_HW
+#ifdef MOC_CRC_X86
     __builtin_cpu_init();
     if (__builtin_cpu_supports("sse4.2")) {
         return HardwareUpdate;
     }
 #endif
     return crc32_internal::Crc32cSliceBy8Update;
+}
+
+/** The CRC-32 implementation this CPU runs, chosen on first use. */
+UpdateFn
+Crc32Impl() {
+    static const UpdateFn impl = ChooseCrc32();
+    return impl;
 }
 
 /** The CRC-32C implementation this CPU runs, chosen on first use. */
@@ -193,6 +295,16 @@ Crc32cImpl() {
 }  // namespace
 
 namespace crc32_internal {
+
+std::uint32_t
+Crc32SliceBy8Update(std::uint32_t crc, const void* data, std::size_t len) {
+    return TableUpdate(IeeeTables(), crc, data, len);
+}
+
+bool
+Crc32HardwareDispatched() {
+    return Crc32Impl() != Crc32SliceBy8Update;
+}
 
 std::uint32_t
 Crc32cSliceBy8Update(std::uint32_t crc, const void* data, std::size_t len) {
@@ -208,8 +320,7 @@ Crc32cHardwareDispatched() {
 
 std::uint32_t
 Crc32Update(std::uint32_t crc, const void* data, std::size_t len) {
-    static const auto tables = MakeTables(0xEDB88320U);
-    return TableUpdate(tables, crc, data, len);
+    return Crc32Impl()(crc, data, len);
 }
 
 std::uint32_t

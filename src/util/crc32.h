@@ -22,19 +22,26 @@
  * breaks the cancellation: the embedded trailer is no longer the outer
  * register's own image of the section.
  *
- * Implementations. Crc32 is portable slice-by-8 everywhere. Crc32c is
- * chosen once per process, on first use, by asking the CPU
- * (`__builtin_cpu_supports("sse4.2")`):
- *  - x86-64 with SSE4.2: the `crc32` instruction over three interleaved
- *    streams (runs of 3 × 8 KiB, then 3 × 256 B, then one stream for the
- *    tail), joined by precomputed zero-byte shift tables. On a 4-vCPU
- *    x86-64 VM it hashes 16 MiB at 8–10 GB/s, slice-by-8 at 1.3 GB/s.
- *  - anything else: the same slice-by-8 tables as Crc32, with the
- *    Castagnoli polynomial.
- * Both produce bit-identical values at every length, split and alignment
- * (tests/util_test.cc cross-checks them against a bytewise reference via
- * util/crc32_internal.h). There is no flag or environment variable: the
- * choice changes speed, never a checksum.
+ * Implementations. Both CRCs are chosen once per process, on first use,
+ * by asking the CPU (`__builtin_cpu_supports`):
+ *  - Crc32 on x86-64 with PCLMULQDQ: carry-less-multiply folding of four
+ *    128-bit lanes per 64 bytes, then a 128 → 64 → 32-bit fold and a
+ *    Barrett reduction (Gopal et al., "Fast CRC Computation for Generic
+ *    Polynomials Using PCLMULQDQ"). Inputs under 64 bytes and the tail
+ *    after the last whole 16 bytes go through the slice-by-8 tables. On
+ *    a 4-vCPU x86-64 VM it hashes 16 MiB at ~12 GB/s, slice-by-8 at
+ *    1.3–1.6 GB/s.
+ *  - Crc32c on x86-64 with SSE4.2: the `crc32` instruction over three
+ *    interleaved streams (runs of 3 × 8 KiB, then 3 × 256 B, then one
+ *    stream for the tail), joined by precomputed zero-byte shift tables.
+ *    On the same VM it hashes 16 MiB at 8–10 GB/s, slice-by-8 at 1.3 GB/s.
+ *  - anything else: portable slice-by-8 tables in the CRC's polynomial.
+ * The fast path's speed does not weaken the two-polynomial rule above:
+ * the rule is about what an outer CRC can see, not about cost.
+ * Every path produces bit-identical values at every length, split and
+ * alignment (tests/util_test.cc cross-checks them against a bytewise
+ * reference via util/crc32_internal.h). There is no flag or environment
+ * variable: the choice changes speed, never a checksum.
  */
 
 #include <cstddef>

@@ -19,9 +19,11 @@
 #include "obs/metrics.h"
 #include "storage/faulty_store.h"
 #include "storage/file_store.h"
+#include "storage/manifest.h"
 #include "storage/persistent_store.h"
 #include "storage/store_error.h"
 #include "temp_path.h"
+#include "util/crc32.h"
 
 namespace moc {
 namespace {
@@ -471,6 +473,41 @@ TEST(ClusterRecovery, DamagedBlobFallsBackDownTheChain) {
     EXPECT_EQ(result.degraded.front().restored_iteration, 1U);
     EXPECT_EQ(result.blobs.at(key),
               SyntheticShardBytes(plan.Items(0).front(), 1));
+}
+
+TEST(ClusterRecovery, RefThatDisagreesWithItsBaseFallsBack) {
+    // Generation 3 records a dedup ref to 2 but a different (size, CRC-32C)
+    // than 2's record: the base's bytes verify against the base, yet they
+    // are not what the ref promises, so version 3 is refused and the key
+    // falls back to version 2.
+    PersistentStore store({.write_bandwidth = 1e9, .read_bandwidth = 1e9,
+                           .latency = 0.0});
+    CheckpointManifest manifest;
+    const std::string key = "rank0/expert/0/w";
+    const auto write_full = [&](std::size_t iter, const Blob& blob) {
+        store.Put(VersionedShardKey(key, iter), blob);
+        manifest.RecordPersistVersion(key, iter, blob.size(),
+                                      Crc32c(blob.data(), blob.size()), true);
+        manifest.MarkCheckpointComplete(StoreLevel::kPersist, iter);
+    };
+    write_full(1, Blob(96, 0x11));
+    const Blob v2(96, 0x22);
+    write_full(2, v2);
+    const Blob v3(96, 0x33);
+    manifest.RecordPersistVersion(key, 3, v3.size(),
+                                  Crc32c(v3.data(), v3.size()), true,
+                                  /*ref=*/2);
+    manifest.MarkCheckpointComplete(StoreLevel::kPersist, 3);
+
+    const auto restore = PlanClusterRestore(manifest);
+    ASSERT_TRUE(restore.has_value());
+    EXPECT_EQ(restore->generation, 3U);
+    const auto result = ExecuteClusterRestore(manifest, store, *restore);
+    EXPECT_TRUE(result.damaged.empty());
+    ASSERT_EQ(result.degraded.size(), 1U);
+    EXPECT_EQ(result.degraded.front().planned_iteration, 3U);
+    EXPECT_EQ(result.degraded.front().restored_iteration, 2U);
+    EXPECT_EQ(result.blobs.at(key), v2);
 }
 
 TEST(ClusterRecovery, NoSealedGenerationMeansNoRestartTarget) {

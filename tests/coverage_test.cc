@@ -197,6 +197,48 @@ TEST(ParamSerialization, OptimizerMomentsRoundTrip) {
     EXPECT_TRUE(b2.adam_m().AllClose(b.adam_m(), 0.0F));
 }
 
+TEST(ParamSerialization, RestoresIntoTheTensorsTheParametersOwn) {
+    Rng rng(17);
+    Parameter a("a", Tensor::Randn({4, 4}, rng, 1.0F));
+    a.adam_m() = Tensor::Randn({4, 4}, rng, 1.0F);
+    a.adam_v() = Tensor::Randn({4, 4}, rng, 1.0F);
+    const Blob weights = SerializeParamList({&a}, /*weights=*/true);
+    const Blob moments = SerializeParamList({&a}, /*weights=*/false);
+
+    Parameter b("a", Tensor({4, 4}));
+    b.adam_m() = Tensor({4, 4});
+    b.adam_v() = Tensor({4, 4});
+    const float* value = b.value().data();
+    const float* m = b.adam_m().data();
+    const float* v = b.adam_v().data();
+    DeserializeParamList(weights, {&b}, /*weights=*/true);
+    DeserializeParamList(moments, {&b}, /*weights=*/false);
+    EXPECT_EQ(b.value().data(), value);
+    EXPECT_EQ(b.adam_m().data(), m);
+    EXPECT_EQ(b.adam_v().data(), v);
+    EXPECT_TRUE(b.value().AllClose(a.value(), 0.0F));
+    EXPECT_TRUE(b.adam_m().AllClose(a.adam_m(), 0.0F));
+    EXPECT_TRUE(b.adam_v().AllClose(a.adam_v(), 0.0F));
+}
+
+TEST(ParamSerialization, MomentPairIsCheckedBeforeEitherIsCopied) {
+    // A damaged v record must leave m untouched too, as when both were
+    // parsed into new tensors before either was assigned.
+    Rng rng(18);
+    Parameter a("a", Tensor::Randn({4}, rng, 1.0F));
+    a.adam_m() = Tensor::Randn({4}, rng, 1.0F);
+    a.adam_v() = Tensor::Randn({4}, rng, 1.0F);
+    Blob blob = SerializeParamList({&a}, /*weights=*/false);
+    blob[blob.size() - 6] ^= 0x01;  // a data byte of the v record
+    Parameter b("a", Tensor({4}));
+    b.adam_m() = Tensor({4});
+    b.adam_v() = Tensor({4});
+    EXPECT_THROW(DeserializeParamList(blob, {&b}, /*weights=*/false),
+                 std::runtime_error);
+    EXPECT_TRUE(b.adam_m().AllClose(Tensor({4}), 0.0F));
+    EXPECT_TRUE(b.adam_v().AllClose(Tensor({4}), 0.0F));
+}
+
 TEST(ParamSerialization, ArityMismatchRejected) {
     Rng rng(10);
     Parameter a("a", Tensor::Randn({4}, rng, 1.0F));
@@ -214,6 +256,58 @@ TEST(ParamSerialization, ShapeMismatchRejected) {
     Parameter wrong("w", Tensor({5}));
     EXPECT_THROW(DeserializeParamList(blob, {&wrong}, true),
                  std::invalid_argument);
+}
+
+/** Appends @p value's bytes to @p out. */
+template <typename T>
+void
+PutPod(Blob& out, T value) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
+    out.insert(out.end(), p, p + sizeof(T));
+}
+
+TEST(Serialize, ParamListBytesUnchanged) {
+    // The layout SerializeParamList has always written: a u32 tensor count,
+    // then per tensor a u64 size and SerializeTensor's bytes. An empty
+    // tensor covers the record with no data bytes.
+    Rng rng(14);
+    Parameter a("a", Tensor::Randn({3, 5}, rng, 1.0F));
+    Parameter b("b", Tensor::Randn({7}, rng, 1.0F));
+    Parameter c("c", Tensor());
+    for (Parameter* p : {&a, &b}) {
+        p->adam_m() = Tensor::Randn(p->value().shape(), rng, 1.0F);
+        p->adam_v() = Tensor::Randn(p->value().shape(), rng, 1.0F);
+    }
+    const std::vector<Parameter*> params = {&a, &b, &c};
+    for (const bool weights : {true, false}) {
+        Blob expected;
+        PutPod(expected, static_cast<std::uint32_t>(weights ? 3 : 6));
+        for (const Parameter* p : params) {
+            for (const Tensor* t :
+                 weights ? std::vector<const Tensor*>{&p->value()}
+                         : std::vector<const Tensor*>{&p->adam_m(),
+                                                      &p->adam_v()}) {
+                const auto bytes = SerializeTensor(*t);
+                PutPod(expected, static_cast<std::uint64_t>(bytes.size()));
+                expected.insert(expected.end(), bytes.begin(), bytes.end());
+            }
+        }
+        EXPECT_EQ(SerializeParamList(params, weights), expected)
+            << (weights ? "weights" : "moments");
+    }
+}
+
+TEST(Serialize, ParamListRejectsWrappingRecordSize) {
+    // A record size near 2^64 makes offset + size wrap below the blob size;
+    // the record that follows is a valid tensor with a valid CRC.
+    Rng rng(15);
+    const auto tensor = SerializeTensor(Tensor::Randn({4}, rng, 1.0F));
+    Blob blob;
+    PutPod(blob, std::uint32_t{1});
+    PutPod(blob, ~std::uint64_t{0} - 7);
+    blob.insert(blob.end(), tensor.begin(), tensor.end());
+    Parameter p("p", Tensor({4}));
+    EXPECT_THROW(DeserializeParamList(blob, {&p}, true), std::runtime_error);
 }
 
 // ---------- ExtraState edge cases ----------

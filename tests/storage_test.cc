@@ -37,6 +37,20 @@ TEST(MemoryStore, PutGetEraseRoundTrip) {
     EXPECT_FALSE(store.Get("a").has_value());
 }
 
+TEST(MemoryStore, ReadVisitsTheStoredBlobWithoutCopying) {
+    MemoryStore s;
+    s.Put("k", Blob{1, 2, 3});
+    const std::uint8_t* first = nullptr;
+    EXPECT_TRUE(s.Read("k", [&first](const Blob& b) {
+        EXPECT_EQ(b, (Blob{1, 2, 3}));
+        first = b.data();
+    }));
+    EXPECT_TRUE(s.Read("k", [first](const Blob& b) { EXPECT_EQ(b.data(), first); }));
+    bool called = false;
+    EXPECT_FALSE(s.Read("missing", [&called](const Blob&) { called = true; }));
+    EXPECT_FALSE(called);
+}
+
 TEST(MemoryStore, OverwriteUpdatesByteAccounting) {
     MemoryStore store;
     store.Put("a", MakeBlob(10, 1));

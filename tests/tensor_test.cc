@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
 #include "tensor/tensor.h"
+#include "util/crc32.h"
 
 namespace moc {
 namespace {
@@ -384,6 +386,90 @@ TEST(Serialize, DetectsTruncation) {
 TEST(Serialize, RejectsGarbage) {
     std::vector<std::uint8_t> garbage(64, 0x42);
     EXPECT_THROW(DeserializeTensor(garbage), std::runtime_error);
+}
+
+TEST(Serialize, PointerOverloadsMatchVectorOnUnalignedSubRange) {
+    Rng rng(13);
+    const auto t = Tensor::Randn({5, 7}, rng, 1.0F);
+    const auto blob = SerializeTensor(t);
+    // Three bytes of prefix put the record off every natural alignment;
+    // trailing bytes check that the parser stays inside its range.
+    std::vector<std::uint8_t> buffer(3 + blob.size() + 5, 0xEE);
+    EXPECT_EQ(SerializeTensor(t, buffer.data() + 3), blob.size());
+    EXPECT_TRUE(std::equal(blob.begin(), blob.end(), buffer.begin() + 3));
+    const Tensor from_pointer = DeserializeTensor(buffer.data() + 3, blob.size());
+    const Tensor from_vector = DeserializeTensor(blob);
+    EXPECT_EQ(from_pointer.shape(), from_vector.shape());
+    EXPECT_TRUE(from_pointer.AllClose(from_vector, 0.0F));
+    EXPECT_THROW(DeserializeTensor(buffer.data() + 3, blob.size() - 1),
+                 std::runtime_error);
+}
+
+TEST(Serialize, ParseTensorRecordPointsIntoTheBlob) {
+    Rng rng(16);
+    const auto t = Tensor::Randn({3, 4}, rng, 1.0F);
+    const auto blob = SerializeTensor(t);
+    const TensorRecord record = ParseTensorRecord(blob.data(), blob.size());
+    EXPECT_EQ(record.shape, t.shape());
+    EXPECT_EQ(record.data_bytes, t.size() * sizeof(float));
+    // magic, rank, two dims: the data follows the 24-byte header in place.
+    EXPECT_EQ(record.data, blob.data() + 24);
+    Tensor out({3, 4});
+    const float* storage = out.data();
+    record.CopyTo(out);
+    EXPECT_EQ(out.data(), storage);
+    EXPECT_TRUE(out.AllClose(t, 0.0F));
+    auto corrupt = blob;
+    corrupt[30] ^= 0x01;
+    EXPECT_THROW(ParseTensorRecord(corrupt.data(), corrupt.size()),
+                 std::runtime_error);
+}
+
+/** Appends @p value's bytes to @p out. */
+template <typename T>
+void
+Put(std::vector<std::uint8_t>& out, T value) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
+    out.insert(out.end(), p, p + sizeof(T));
+}
+
+/** A tensor header (magic, rank, dims) plus @p data_bytes zero bytes,
+    sealed with a valid CRC trailer, so only the size checks can refuse it. */
+std::vector<std::uint8_t>
+HostileTensorBlob(std::uint32_t rank, const std::vector<std::uint64_t>& dims,
+                  std::size_t data_bytes = 0) {
+    std::vector<std::uint8_t> blob;
+    Put<std::uint32_t>(blob, 0x4D4F4354);  // "MOCT"
+    Put(blob, rank);
+    for (const auto d : dims) {
+        Put(blob, d);
+    }
+    blob.resize(blob.size() + data_bytes, 0);
+    Put(blob, Crc32(blob.data(), blob.size()));
+    return blob;
+}
+
+TEST(Serialize, HostileShapesWithValidCrcThrowBeforeAllocating) {
+    // The control: a well-formed 2 × 3 tensor in the same hand-built form.
+    EXPECT_EQ(DeserializeTensor(HostileTensorBlob(2, {2, 3}, 24)).size(), 6U);
+    // A rank of 2^32 - 1 with no dims behind it: sizing the shape from it
+    // would ask for 32 GiB.
+    EXPECT_THROW(DeserializeTensor(HostileTensorBlob(0xFFFFFFFFU, {})),
+                 std::runtime_error);
+    EXPECT_THROW(DeserializeTensor(HostileTensorBlob(3, {4, 4})),
+                 std::runtime_error);
+    // 2^40 elements fit in size_t but not in a 16-byte payload.
+    EXPECT_THROW(DeserializeTensor(HostileTensorBlob(1, {1ULL << 40}, 16)),
+                 std::runtime_error);
+    // Element counts that overflow size_t: 2^33 × 2^33 wraps to 0 and
+    // (2^62 + 1) × 4 to 4, which must not pass for an empty or a 16-byte
+    // payload.
+    EXPECT_THROW(
+        DeserializeTensor(HostileTensorBlob(2, {1ULL << 33, 1ULL << 33})),
+        std::runtime_error);
+    EXPECT_THROW(
+        DeserializeTensor(HostileTensorBlob(2, {(1ULL << 62) + 1, 4}, 16)),
+        std::runtime_error);
 }
 
 }  // namespace

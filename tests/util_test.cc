@@ -502,6 +502,67 @@ TEST(Crc32cDispatch, IncrementalMatchesOneShotAtEverySplit) {
     }
 }
 
+/**
+ * Crc32 dispatches at run time too (PCLMULQDQ folding on x86-64, slice-by-8
+ * elsewhere). Lengths up to three 64-byte fold steps plus a 64-byte tail
+ * cover the sub-64-byte table path, one to four fold steps, the 16-byte
+ * single-lane steps and every 0–15 byte tail; 64 KiB covers a long run.
+ */
+constexpr std::size_t kFoldSpan = 3 * 64 + 64;
+constexpr std::uint32_t kIeee = 0xEDB88320U;
+
+TEST(Crc32Dispatch, KnownVectorOnBothPaths) {
+    const char* s = "123456789";
+    EXPECT_EQ(Crc32(s, 9), 0xCBF43926U);
+    EXPECT_EQ(crc32_internal::Crc32SliceBy8Update(0, s, 9), 0xCBF43926U);
+#if defined(__x86_64__)
+    // Every x86-64 CI and development host has PCLMULQDQ; a silent
+    // fallback there would cost the facade's tensor trailers ~8× on CRC.
+    EXPECT_TRUE(crc32_internal::Crc32HardwareDispatched());
+#endif
+}
+
+TEST(Crc32Dispatch, MatchesFallbackAndBytewiseAtEveryLengthAndAlignment) {
+    const auto data = RandomBytes(kFoldSpan + 16, 21);
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+        const std::uint8_t* p = data.data() + offset;
+        std::uint32_t reference = 0;
+        for (std::size_t n = 0; n <= kFoldSpan; ++n) {
+            ASSERT_EQ(Crc32(p, n), reference)
+                << "offset " << offset << " length " << n;
+            ASSERT_EQ(crc32_internal::Crc32SliceBy8Update(0, p, n), reference)
+                << "fallback offset " << offset << " length " << n;
+            if (n < kFoldSpan) {
+                reference = BytewiseCrc(kIeee, reference, p + n, 1);
+            }
+        }
+    }
+    const auto big = RandomBytes(64 * 1024 + 16, 22);
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+        const std::size_t n = 64 * 1024 - offset;
+        EXPECT_EQ(Crc32(big.data() + offset, n),
+                  BytewiseCrc(kIeee, 0, big.data() + offset, n))
+            << "64 KiB at offset " << offset;
+    }
+}
+
+TEST(Crc32Dispatch, IncrementalMatchesOneShotAtEverySplit) {
+    const auto data = RandomBytes(kFoldSpan, 23);
+    const std::uint32_t whole = BytewiseCrc(kIeee, 0, data.data(), data.size());
+    for (std::size_t split = 0; split <= data.size(); ++split) {
+        const std::uint32_t head = Crc32Update(0, data.data(), split);
+        ASSERT_EQ(Crc32Update(head, data.data() + split, data.size() - split),
+                  whole)
+            << "split " << split;
+        const std::uint32_t fallback_head =
+            crc32_internal::Crc32SliceBy8Update(0, data.data(), split);
+        ASSERT_EQ(crc32_internal::Crc32SliceBy8Update(
+                      fallback_head, data.data() + split, data.size() - split),
+                  whole)
+            << "fallback split " << split;
+    }
+}
+
 // ---------- FNV-1a ----------
 
 TEST(Fnv1a64, KnownVectorsAndIncrementalUpdate) {
