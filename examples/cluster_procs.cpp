@@ -64,6 +64,7 @@
 #include "obs/trace.h"
 #include "storage/file_store.h"
 #include "storage/resilient_store.h"
+#include "util/byte_codec.h"
 #include "util/bytes.h"
 #include "util/crc32.h"
 #include "util/table.h"
@@ -575,7 +576,7 @@ RunElasticCoordinator(std::size_t ranks, std::size_t events,
         ctx.iteration = event;
         ctx.phase = "barrier";
         const obs::TraceContextScope scope(ctx);
-        net::PayloadWriter extra_writer;
+        ByteWriter extra_writer;
         ckpt::EncodePlacementAssignments(placement, extra_writer);
         const Blob extra = extra_writer.Take();
         coordinator.BeginGeneration(event, ctx, &extra);
@@ -824,7 +825,7 @@ RunRank(std::size_t rank, std::size_t ranks, const std::string& ckpt_dir,
         if (elastic) {
             if (!begin->extra.empty()) {
                 try {
-                    net::PayloadReader extra_reader(begin->extra);
+                    ByteReader extra_reader(begin->extra);
                     current_placement =
                         ckpt::DecodePlacementAssignments(extra_reader);
                 } catch (const std::runtime_error&) {

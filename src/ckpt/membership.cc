@@ -61,7 +61,7 @@ MemberStateName(MemberState state) {
 
 Blob
 EncodeJoinRequest(const JoinRequest& request) {
-    net::PayloadWriter w;
+    ByteWriter w;
     w.U32(static_cast<std::uint32_t>(request.rank));
     w.U32(request.incarnation);
     return w.Take();
@@ -69,7 +69,7 @@ EncodeJoinRequest(const JoinRequest& request) {
 
 JoinRequest
 DecodeJoinRequest(const Blob& payload) {
-    net::PayloadReader r(payload);
+    ByteReader r(payload);
     JoinRequest request;
     request.rank = r.U32();
     request.incarnation = r.U32();
@@ -78,7 +78,7 @@ DecodeJoinRequest(const Blob& payload) {
 
 void
 EncodePlacementAssignments(const PlacementPlan& plan,
-                           net::PayloadWriter& writer) {
+                           ByteWriter& writer) {
     writer.U64(plan.version);
     writer.U32(static_cast<std::uint32_t>(plan.assignments.size()));
     for (const auto& [expert, hosts] : plan.assignments) {
@@ -91,13 +91,13 @@ EncodePlacementAssignments(const PlacementPlan& plan,
 }
 
 PlacementPlan
-DecodePlacementAssignments(net::PayloadReader& reader) {
+DecodePlacementAssignments(ByteReader& reader) {
     PlacementPlan plan;
     plan.version = reader.U64();
-    const std::uint32_t experts = reader.U32();
+    const std::uint32_t experts = reader.Count(8 + 4);  // id + host count
     for (std::uint32_t i = 0; i < experts; ++i) {
         const std::uint64_t expert = reader.U64();
-        const std::uint32_t hosts = reader.U32();
+        const std::uint32_t hosts = reader.Count(4);
         std::vector<std::size_t>& out =
             plan.assignments[static_cast<std::size_t>(expert)];
         out.reserve(hosts);
@@ -110,7 +110,7 @@ DecodePlacementAssignments(net::PayloadReader& reader) {
 
 Blob
 EncodeJoinAccept(const JoinAccept& accept) {
-    net::PayloadWriter w;
+    ByteWriter w;
     w.U8(accept.accepted ? 1 : 0);
     w.Str(accept.reason);
     w.U64(accept.membership_version);
@@ -120,7 +120,7 @@ EncodeJoinAccept(const JoinAccept& accept) {
 
 JoinAccept
 DecodeJoinAccept(const Blob& payload) {
-    net::PayloadReader r(payload);
+    ByteReader r(payload);
     JoinAccept accept;
     accept.accepted = r.U8() != 0;
     accept.reason = r.Str();

@@ -41,7 +41,8 @@
 #include <vector>
 
 #include "core/placement.h"
-#include "net/frame.h"
+#include "storage/object_store.h"
+#include "util/byte_codec.h"
 
 namespace moc::ckpt {
 
@@ -77,7 +78,7 @@ struct JoinRequest {
 };
 
 Blob EncodeJoinRequest(const JoinRequest& request);
-/** @throws std::runtime_error on a truncated payload. */
+/** @throws DecodeError (util/byte_codec.h) on a truncated payload. */
 JoinRequest DecodeJoinRequest(const Blob& payload);
 
 /** Wire payload of MsgType::kJoinAccept. */
@@ -92,15 +93,15 @@ struct JoinAccept {
 };
 
 Blob EncodeJoinAccept(const JoinAccept& accept);
-/** @throws std::runtime_error on a truncated payload. */
+/** @throws DecodeError (util/byte_codec.h) on a truncated payload. */
 JoinAccept DecodeJoinAccept(const Blob& payload);
 
 /** Appends the expert->hosts table of @p plan to @p writer. */
 void EncodePlacementAssignments(const PlacementPlan& plan,
-                                net::PayloadWriter& writer);
+                                ByteWriter& writer);
 
 /** Inverse of EncodePlacementAssignments (version + assignments only). */
-PlacementPlan DecodePlacementAssignments(net::PayloadReader& reader);
+PlacementPlan DecodePlacementAssignments(ByteReader& reader);
 
 /** A parse of the persisted membership document ("meta/membership"). */
 struct MembershipSnapshot {

@@ -6,6 +6,7 @@
 
 #include "obs/journal.h"
 #include "obs/metrics.h"
+#include "util/byte_codec.h"
 #include "util/clock.h"
 
 namespace moc {
@@ -19,7 +20,7 @@ using net::PeerId;
 
 Blob
 EncodeRankDone(const RankDone& done) {
-    net::PayloadWriter w;
+    ByteWriter w;
     w.U64(done.iteration);
     w.U8(done.ok ? 1 : 0);
     w.U32(static_cast<std::uint32_t>(done.reports.size()));
@@ -38,12 +39,13 @@ EncodeRankDone(const RankDone& done) {
 
 RankDone
 DecodeRankDone(PeerId from, const Blob& payload) {
-    net::PayloadReader reader(payload);
+    ByteReader reader(payload);
     RankDone done;
     done.rank = from;
     done.iteration = reader.U64();
     done.ok = reader.U8() != 0;
-    const std::uint32_t count = reader.U32();
+    // Str length, iteration, bytes, crc, flags, ref_iteration.
+    const std::uint32_t count = reader.Count(4 + 8 + 8 + 4 + 1 + 8);
     done.reports.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
         ShardReport r;
@@ -87,7 +89,7 @@ std::size_t
 CheckpointCoordinator::BeginGeneration(std::uint64_t iteration,
                                        const obs::TraceContext& ctx,
                                        const Blob* extra) {
-    net::PayloadWriter w;
+    ByteWriter w;
     w.U64(iteration);
     if (extra != nullptr && !extra->empty()) {
         w.Raw(extra->data(), extra->size());
@@ -201,14 +203,11 @@ RankParticipant::AwaitBegin(Seconds timeout_s) {
         if (msg->type == MsgType::kCkptBegin) {
             BeginEvent event;
             try {
-                net::PayloadReader reader(msg->payload);
+                ByteReader reader(msg->payload);
                 event.iteration = reader.U64();
-                if (reader.remaining() > 0) {
-                    event.extra.assign(msg->payload.end() -
-                                           static_cast<std::ptrdiff_t>(
-                                               reader.remaining()),
-                                       msg->payload.end());
-                }
+                const std::size_t extra_bytes = reader.remaining();
+                const std::uint8_t* extra = reader.Raw(extra_bytes);
+                event.extra.assign(extra, extra + extra_bytes);
             } catch (const std::runtime_error&) {
                 continue;
             }

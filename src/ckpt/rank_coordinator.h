@@ -62,7 +62,7 @@ struct RankDone {
 
 /** Wire codec of the kRankDone payload. */
 Blob EncodeRankDone(const RankDone& done);
-/** @throws std::runtime_error on a truncated payload. */
+/** @throws DecodeError (util/byte_codec.h) on a truncated payload. */
 RankDone DecodeRankDone(net::PeerId from, const Blob& payload);
 
 /** Outcome of one coordinator-side barrier wait. */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
@@ -12,6 +11,7 @@
 #include "obs/run_meta.h"
 #include "obs/trace.h"
 #include "tensor/serialize.h"
+#include "util/byte_codec.h"
 #include "util/crc32.h"
 #include "util/logging.h"
 
@@ -64,23 +64,6 @@ NsToSeconds(std::uint64_t begin_ns, std::uint64_t end_ns) {
     return static_cast<double>(end_ns - begin_ns) / 1e9;
 }
 
-template <typename T>
-void
-AppendPod(Blob& out, T value) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
-    out.insert(out.end(), p, p + sizeof(T));
-}
-
-template <typename T>
-T
-ReadPod(const Blob& in, std::size_t& offset) {
-    MOC_CHECK_ARG(offset + sizeof(T) <= in.size(), "blob truncated");
-    T value;
-    std::memcpy(&value, in.data() + offset, sizeof(T));
-    offset += sizeof(T);
-    return value;
-}
-
 /** Calls @p fn on each tensor of a param-list blob, in blob order. */
 template <typename Fn>
 void
@@ -96,24 +79,11 @@ ForEachListedTensor(const std::vector<Parameter*>& params, bool weights,
     }
 }
 
-template <typename T>
-void
-WritePod(std::uint8_t*& at, T value) {
-    std::memcpy(at, &value, sizeof(T));
-    at += sizeof(T);
-}
-
-/** Checks the size-prefixed tensor record at @p offset where it sits. */
+/** Checks the size-prefixed tensor record at @p in's cursor where it sits. */
 TensorRecord
-ReadRecord(const Blob& in, std::size_t& offset) {
-    const auto size = static_cast<std::size_t>(ReadPod<std::uint64_t>(in, offset));
-    // Not offset + size > in.size(): a size near 2^64 would wrap that sum.
-    if (size > in.size() - offset) {
-        throw std::runtime_error("DeserializeParamList: record overruns the blob");
-    }
-    TensorRecord record = ParseTensorRecord(in.data() + offset, size);
-    offset += size;
-    return record;
+ReadRecord(ByteReader& in) {
+    const std::uint64_t size = in.U64();
+    return ParseTensorRecord(in.Raw(size), size);  // Raw bounds the size
 }
 
 bool
@@ -132,27 +102,26 @@ BaseKey(const std::string& key) {
 
 Blob
 SerializeParamList(const std::vector<Parameter*>& params, bool weights) {
-    // One blob of the exact size; each record (u64 size, tensor bytes with
-    // their CRC trailer) is written straight into it.
+    // One allocation of the exact size; each record (u64 size, tensor bytes
+    // with their CRC trailer) is appended straight into it.
     std::size_t total = sizeof(std::uint32_t);
     ForEachListedTensor(params, weights, [&total](const Tensor& t) {
         total += sizeof(std::uint64_t) + SerializedTensorSize(t);
     });
-    Blob out(total);
-    std::uint8_t* at = out.data();
-    WritePod(at, static_cast<std::uint32_t>(params.size()) * (weights ? 1 : 2));
-    ForEachListedTensor(params, weights, [&at](const Tensor& t) {
-        WritePod(at, static_cast<std::uint64_t>(SerializedTensorSize(t)));
-        at += SerializeTensor(t, at);
+    ByteWriter out(total);
+    out.U32(static_cast<std::uint32_t>(params.size()) * (weights ? 1 : 2));
+    ForEachListedTensor(params, weights, [&out](const Tensor& t) {
+        out.U64(SerializedTensorSize(t));
+        SerializeTensor(t, out);
     });
-    return out;
+    return out.Take();
 }
 
 void
 DeserializeParamList(const Blob& blob, const std::vector<Parameter*>& params,
                      bool weights) {
-    std::size_t offset = 0;
-    const auto count = ReadPod<std::uint32_t>(blob, offset);
+    ByteReader in(blob);
+    const std::uint32_t count = in.U32();
     const std::uint32_t expected =
         static_cast<std::uint32_t>(params.size()) * (weights ? 1 : 2);
     MOC_CHECK_ARG(count == expected, "parameter count mismatch in checkpoint blob");
@@ -160,13 +129,13 @@ DeserializeParamList(const Blob& blob, const std::vector<Parameter*>& params,
     // the parameter already owns: no allocation, no zero-fill, no free.
     for (auto* p : params) {
         if (weights) {
-            const TensorRecord t = ReadRecord(blob, offset);
+            const TensorRecord t = ReadRecord(in);
             MOC_CHECK_ARG(t.shape == p->value().shape(),
                           "shape mismatch restoring " << p->name());
             t.CopyTo(p->value());
         } else {
-            const TensorRecord m = ReadRecord(blob, offset);
-            const TensorRecord v = ReadRecord(blob, offset);
+            const TensorRecord m = ReadRecord(in);
+            const TensorRecord v = ReadRecord(in);
             MOC_CHECK_ARG(m.shape == p->adam_m().shape() &&
                               v.shape == p->adam_v().shape(),
                           "moment shape mismatch restoring " << p->name());
@@ -174,32 +143,34 @@ DeserializeParamList(const Blob& blob, const std::vector<Parameter*>& params,
             v.CopyTo(p->adam_v());
         }
     }
+    in.ExpectEnd();
 }
 
 Blob
 SerializeExtraState(const ExtraState& extra) {
-    Blob out;
-    AppendPod(out, static_cast<std::uint64_t>(extra.iteration));
-    AppendPod(out, static_cast<std::uint64_t>(extra.adam_step));
-    for (auto s : extra.gating_rng.s) {
-        AppendPod(out, s);
+    ByteWriter out;
+    out.U64(extra.iteration);
+    out.U64(extra.adam_step);
+    for (const std::uint64_t s : extra.gating_rng.s) {
+        out.U64(s);
     }
-    AppendPod(out, static_cast<std::uint8_t>(extra.gating_rng.have_cached_gaussian));
-    AppendPod(out, extra.gating_rng.cached_gaussian);
-    return out;
+    out.U8(extra.gating_rng.have_cached_gaussian ? 1 : 0);
+    out.F64(extra.gating_rng.cached_gaussian);
+    return out.Take();
 }
 
 ExtraState
 DeserializeExtraState(const Blob& blob) {
+    ByteReader in(blob);
     ExtraState extra;
-    std::size_t offset = 0;
-    extra.iteration = static_cast<std::size_t>(ReadPod<std::uint64_t>(blob, offset));
-    extra.adam_step = static_cast<std::size_t>(ReadPod<std::uint64_t>(blob, offset));
+    extra.iteration = static_cast<std::size_t>(in.U64());
+    extra.adam_step = static_cast<std::size_t>(in.U64());
     for (auto& s : extra.gating_rng.s) {
-        s = ReadPod<std::uint64_t>(blob, offset);
+        s = in.U64();
     }
-    extra.gating_rng.have_cached_gaussian = ReadPod<std::uint8_t>(blob, offset) != 0;
-    extra.gating_rng.cached_gaussian = ReadPod<double>(blob, offset);
+    extra.gating_rng.have_cached_gaussian = in.U8() != 0;
+    extra.gating_rng.cached_gaussian = in.F64();
+    in.ExpectEnd();
     return extra;
 }
 

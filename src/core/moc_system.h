@@ -196,7 +196,8 @@ class MocCheckpointSystem {
 /**
  * Serializes the weights (or Adam moments) of a parameter list: a u32
  * tensor count, then per tensor a u64 size and SerializeTensor's bytes,
- * written in one pass into a blob of exactly that size.
+ * appended with util/byte_codec.h into one blob allocated at its final
+ * size.
  */
 Blob SerializeParamList(const std::vector<Parameter*>& params, bool weights);
 
@@ -205,14 +206,19 @@ Blob SerializeParamList(const std::vector<Parameter*>& params, bool weights);
  * record where it sits in @p blob and copying its data into the tensor the
  * parameter already owns (no allocation). A weight is copied once its record
  * passes; a moment pair once both of its records pass.
- * @throws std::runtime_error when a record overruns the blob or fails
- *         DeserializeTensor; std::invalid_argument on a truncated header or
- *         a count or shape that does not match @p params.
+ * @throws DecodeError when the blob is truncated, a record overruns it or
+ *         fails DeserializeTensor, or bytes follow the last record;
+ *         std::invalid_argument on a count or shape that does not match
+ *         @p params.
  */
 void DeserializeParamList(const Blob& blob, const std::vector<Parameter*>& params,
                           bool weights);
 
-/** Packs/unpacks ExtraState. */
+/**
+ * Packs/unpacks ExtraState (little-endian, util/byte_codec.h).
+ * DeserializeExtraState throws DecodeError on a truncated blob or on bytes
+ * after the last field.
+ */
 Blob SerializeExtraState(const ExtraState& extra);
 ExtraState DeserializeExtraState(const Blob& blob);
 

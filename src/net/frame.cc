@@ -3,6 +3,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "util/byte_codec.h"
 #include "util/crc32.h"
 
 namespace moc::net {
@@ -10,38 +11,6 @@ namespace moc::net {
 namespace {
 
 constexpr std::uint8_t kMagic[4] = {'M', 'O', 'C', 'F'};
-
-void
-PutU32(std::uint8_t* p, std::uint32_t v) {
-    for (std::size_t i = 0; i < 4; ++i) {
-        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    }
-}
-
-void
-PutU64(std::uint8_t* p, std::uint64_t v) {
-    for (std::size_t i = 0; i < 8; ++i) {
-        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    }
-}
-
-std::uint32_t
-GetU32(const std::uint8_t* p) {
-    std::uint32_t v = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    }
-    return v;
-}
-
-std::uint64_t
-GetU64(const std::uint8_t* p) {
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    }
-    return v;
-}
 
 struct PhaseEntry {
     PhaseId id;
@@ -106,28 +75,22 @@ EncodeFrame(const Frame& frame) {
     if (frame.payload.size() > kMaxPayload) {
         throw std::invalid_argument("frame payload over kMaxPayload");
     }
-    Blob out(kHeaderSize + frame.payload.size() + kTrailerSize);
-    std::uint8_t* p = out.data();
-    std::memcpy(p, kMagic, 4);
-    p[4] = kWireVersion;
-    p[5] = static_cast<std::uint8_t>(frame.type);
-    p[6] = static_cast<std::uint8_t>(PhaseIdOf(frame.ctx.phase));
-    p[7] = frame.flags;
-    PutU32(p + 8, frame.src_peer);
-    PutU32(p + 12, frame.epoch);
-    PutU64(p + 16, frame.seq);
-    PutU64(p + 24, frame.ctx.generation);
-    PutU64(p + 32, frame.ctx.iteration);
-    PutU32(p + 40, static_cast<std::uint32_t>(frame.ctx.rank));
-    PutU32(p + 44, static_cast<std::uint32_t>(frame.payload.size()));
-    if (!frame.payload.empty()) {
-        std::memcpy(p + kHeaderSize, frame.payload.data(),
-                    frame.payload.size());
-    }
-    const std::uint32_t crc =
-        Crc32c(p, kHeaderSize + frame.payload.size());
-    PutU32(p + kHeaderSize + frame.payload.size(), crc);
-    return out;
+    ByteWriter w(kHeaderSize + frame.payload.size() + kTrailerSize);
+    w.Raw(kMagic, sizeof(kMagic));
+    w.U8(kWireVersion);
+    w.U8(static_cast<std::uint8_t>(frame.type));
+    w.U8(static_cast<std::uint8_t>(PhaseIdOf(frame.ctx.phase)));
+    w.U8(frame.flags);
+    w.U32(frame.src_peer);
+    w.U32(frame.epoch);
+    w.U64(frame.seq);
+    w.U64(frame.ctx.generation);
+    w.U64(frame.ctx.iteration);
+    w.U32(static_cast<std::uint32_t>(frame.ctx.rank));
+    w.U32(static_cast<std::uint32_t>(frame.payload.size()));
+    w.Raw(frame.payload.data(), frame.payload.size());
+    w.U32(Crc32c(w.data(), w.size()));
+    return w.Take();
 }
 
 void
@@ -164,10 +127,22 @@ FrameDecoder::Next() {
             return std::nullopt;  // a partial header: wait for more stream
         }
         const std::uint8_t* p = buffer_.data() + offset_;
-        const std::uint32_t payload_len = GetU32(p + 44);
-        const std::uint8_t type = p[5];
-        if (p[4] != kWireVersion || payload_len > kMaxPayload || type == 0 ||
-            type > kMaxMsgType) {
+        ByteReader header(p, kHeaderSize);
+        header.Raw(sizeof(kMagic));  // matched by the hunt above
+        const std::uint8_t version = header.U8();
+        const std::uint8_t type = header.U8();
+        Frame frame;
+        frame.ctx.phase = PhaseLiteral(static_cast<PhaseId>(header.U8()));
+        frame.flags = header.U8();
+        frame.src_peer = header.U32();
+        frame.epoch = header.U32();
+        frame.seq = header.U64();
+        frame.ctx.generation = header.U64();
+        frame.ctx.iteration = header.U64();
+        frame.ctx.rank = static_cast<std::int32_t>(header.U32());
+        const std::uint32_t payload_len = header.U32();
+        if (version != kWireVersion || payload_len > kMaxPayload ||
+            type == 0 || type > kMaxMsgType) {
             // A magic collision inside junk, or a garbled header: not a
             // frame. Skip one byte and rescan.
             SkipJunk(1);
@@ -177,129 +152,21 @@ FrameDecoder::Next() {
         if (avail < total) {
             return std::nullopt;  // torn so far: the rest may still arrive
         }
-        const std::uint32_t want = GetU32(p + kHeaderSize + payload_len);
-        const std::uint32_t got = Crc32c(p, kHeaderSize + payload_len);
-        if (want != got) {
+        const std::uint32_t want =
+            ByteReader(p + kHeaderSize + payload_len, kTrailerSize).U32();
+        if (want != Crc32c(p, kHeaderSize + payload_len)) {
             // Bit damage (or a truncated frame whose tail was overwritten
             // by the next one). Drop it; resync on the next magic.
             ++stats_.crc_rejects;
             SkipJunk(1);
             continue;
         }
-        Frame frame;
         frame.type = static_cast<MsgType>(type);
-        frame.ctx.phase = PhaseLiteral(static_cast<PhaseId>(p[6]));
-        frame.flags = p[7];
-        frame.src_peer = GetU32(p + 8);
-        frame.epoch = GetU32(p + 12);
-        frame.seq = GetU64(p + 16);
-        frame.ctx.generation = GetU64(p + 24);
-        frame.ctx.iteration = GetU64(p + 32);
-        frame.ctx.rank = static_cast<std::int32_t>(GetU32(p + 40));
         frame.payload.assign(p + kHeaderSize, p + kHeaderSize + payload_len);
         offset_ += total;
         ++stats_.frames;
         return frame;
     }
-}
-
-void
-PayloadWriter::U8(std::uint8_t v) {
-    bytes_.push_back(v);
-}
-
-void
-PayloadWriter::U32(std::uint32_t v) {
-    const std::size_t at = bytes_.size();
-    bytes_.resize(at + 4);
-    PutU32(bytes_.data() + at, v);
-}
-
-void
-PayloadWriter::U64(std::uint64_t v) {
-    const std::size_t at = bytes_.size();
-    bytes_.resize(at + 8);
-    PutU64(bytes_.data() + at, v);
-}
-
-void
-PayloadWriter::I64(std::int64_t v) {
-    U64(static_cast<std::uint64_t>(v));
-}
-
-void
-PayloadWriter::F64(double v) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    U64(bits);
-}
-
-void
-PayloadWriter::Str(const std::string& s) {
-    if (s.size() > kMaxPayload) {
-        throw std::invalid_argument("payload string too large");
-    }
-    U32(static_cast<std::uint32_t>(s.size()));
-    Raw(s.data(), s.size());
-}
-
-void
-PayloadWriter::Raw(const void* data, std::size_t len) {
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    bytes_.insert(bytes_.end(), p, p + len);
-}
-
-void
-PayloadReader::Need(std::size_t n) const {
-    if (bytes_.size() - offset_ < n) {
-        throw std::runtime_error("payload truncated");
-    }
-}
-
-std::uint8_t
-PayloadReader::U8() {
-    Need(1);
-    return bytes_[offset_++];
-}
-
-std::uint32_t
-PayloadReader::U32() {
-    Need(4);
-    const std::uint32_t v = GetU32(bytes_.data() + offset_);
-    offset_ += 4;
-    return v;
-}
-
-std::uint64_t
-PayloadReader::U64() {
-    Need(8);
-    const std::uint64_t v = GetU64(bytes_.data() + offset_);
-    offset_ += 8;
-    return v;
-}
-
-std::int64_t
-PayloadReader::I64() {
-    return static_cast<std::int64_t>(U64());
-}
-
-double
-PayloadReader::F64() {
-    const std::uint64_t bits = U64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-}
-
-std::string
-PayloadReader::Str() {
-    const std::uint32_t len = U32();
-    Need(len);
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + offset_),
-                  len);
-    offset_ += len;
-    return s;
 }
 
 }  // namespace moc::net

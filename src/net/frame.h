@@ -32,6 +32,10 @@
  * damage (the CRC trailer rejects the frame and the decoder resynchronizes
  * on the next magic). A damaged frame is *dropped*, never delivered —
  * request/reply retries (transport.h) recover the loss.
+ *
+ * Header fields and message payloads are written and read with
+ * util/byte_codec.h (ByteWriter/ByteReader), the codec every persisted and
+ * wire format shares.
  */
 
 #include <cstdint>
@@ -40,6 +44,7 @@
 
 #include "obs/trace.h"
 #include "storage/object_store.h"
+#include "util/byte_codec.h"
 
 namespace moc::net {
 
@@ -47,7 +52,7 @@ inline constexpr std::uint8_t kWireVersion = 1;
 inline constexpr std::size_t kHeaderSize = 48;
 inline constexpr std::size_t kTrailerSize = 4;
 /** Upper bound on one frame's payload; bigger lengths are junk. */
-inline constexpr std::size_t kMaxPayload = 16u << 20;
+inline constexpr std::size_t kMaxPayload = kMaxCodecString;
 
 /** Typed message vocabulary of the transport (docs/TRANSPORT.md). */
 enum class MsgType : std::uint8_t {
@@ -155,53 +160,6 @@ class FrameDecoder {
     std::vector<std::uint8_t> buffer_;
     std::size_t offset_ = 0;
     Stats stats_;
-};
-
-/**
- * Bounds-checked payload builder: PODs little-endian, strings and byte
- * ranges length-prefixed (u32) — the writePod/writeString idiom.
- */
-class PayloadWriter {
-  public:
-    void U8(std::uint8_t v);
-    void U32(std::uint32_t v);
-    void U64(std::uint64_t v);
-    void I64(std::int64_t v);
-    void F64(double v);
-    void Str(const std::string& s);
-    void Raw(const void* data, std::size_t len);
-
-    Blob Take() { return std::move(bytes_); }
-    const Blob& bytes() const { return bytes_; }
-
-  private:
-    Blob bytes_;
-};
-
-/**
- * Bounds-checked payload parser; every read throws std::runtime_error on
- * truncation, so a malformed payload surfaces as a typed failure instead
- * of reading past the buffer.
- */
-class PayloadReader {
-  public:
-    explicit PayloadReader(const Blob& bytes) : bytes_(bytes) {}
-
-    std::uint8_t U8();
-    std::uint32_t U32();
-    std::uint64_t U64();
-    std::int64_t I64();
-    double F64();
-    std::string Str();
-
-    std::size_t remaining() const { return bytes_.size() - offset_; }
-
-  private:
-    /** Asserts @p n more bytes exist. @throws std::runtime_error. */
-    void Need(std::size_t n) const;
-
-    const Blob& bytes_;
-    std::size_t offset_ = 0;
 };
 
 }  // namespace moc::net

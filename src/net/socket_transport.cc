@@ -16,6 +16,7 @@
 #include "obs/metrics.h"
 #include "obs/run_meta.h"
 #include "obs/trace.h"
+#include "util/byte_codec.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -281,12 +282,12 @@ SocketTransport::ReaderLoop(std::shared_ptr<Connection> conn) {
                     static_cast<std::int64_t>(obs::Tracer::NowNs());
                 std::int64_t t0 = 0;
                 try {
-                    PayloadReader probe(frame->payload);
+                    ByteReader probe(frame->payload);
                     t0 = probe.I64();
                 } catch (const std::exception&) {
                     continue;
                 }
-                PayloadWriter pong;
+                ByteWriter pong;
                 pong.I64(t0);
                 pong.I64(t1);
                 pong.I64(static_cast<std::int64_t>(obs::Tracer::NowNs()));
@@ -299,7 +300,7 @@ SocketTransport::ReaderLoop(std::shared_ptr<Connection> conn) {
                 ClockSample sample;
                 sample.t3 = static_cast<std::int64_t>(obs::Tracer::NowNs());
                 try {
-                    PayloadReader pong(frame->payload);
+                    ByteReader pong(frame->payload);
                     sample.t0 = pong.I64();
                     sample.t1 = pong.I64();
                     sample.t2 = pong.I64();
@@ -467,7 +468,7 @@ SocketTransport::DeclareDead(PeerId peer, const char* cause,
 void
 SocketTransport::SendPing(const std::shared_ptr<Connection>& conn) {
     static obs::Counter& pings = NetCounter("net.clock.pings");
-    PayloadWriter probe;
+    ByteWriter probe;
     probe.I64(static_cast<std::int64_t>(obs::Tracer::NowNs()));
     if (SendOn(conn, MsgType::kTimePing, probe.Take(), {})) {
         pings.Add();

@@ -5,12 +5,13 @@
 #include "obs/metrics.h"
 #include "obs/run_meta.h"
 #include "obs/trace.h"
+#include "util/byte_codec.h"
 
 namespace moc::net {
 
 Blob
 EncodeTelemetry(const obs::TelemetrySample& sample) {
-    PayloadWriter writer;
+    ByteWriter writer;
     writer.U32(static_cast<std::uint32_t>(sample.rank));
     writer.U64(sample.generation);
     writer.U64(sample.iteration);
@@ -28,7 +29,7 @@ EncodeTelemetry(const obs::TelemetrySample& sample) {
 
 obs::TelemetrySample
 DecodeTelemetry(const Blob& payload) {
-    PayloadReader reader(payload);
+    ByteReader reader(payload);
     obs::TelemetrySample sample;
     sample.rank = static_cast<std::int32_t>(reader.U32());
     sample.generation = reader.U64();
@@ -37,7 +38,7 @@ DecodeTelemetry(const Blob& payload) {
     sample.phase_since_ns = reader.I64();
     sample.sent_ns = reader.I64();
     sample.clock_offset_ns = reader.I64();
-    const std::uint32_t n = reader.U32();
+    const std::uint32_t n = reader.Count(4 + 8);  // Str length + F64
     sample.counters.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
         std::string name = reader.Str();

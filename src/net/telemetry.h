@@ -37,7 +37,7 @@ Blob EncodeTelemetry(const obs::TelemetrySample& sample);
 
 /**
  * Parses a kTelemetry payload.
- * @throws std::runtime_error on truncation (PayloadReader).
+ * @throws DecodeError (util/byte_codec.h) on a truncated payload.
  */
 obs::TelemetrySample DecodeTelemetry(const Blob& payload);
 

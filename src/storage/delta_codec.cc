@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "storage/manifest.h"
+#include "util/byte_codec.h"
 #include "util/crc32.h"
 #include "util/hash.h"
 
@@ -15,46 +16,16 @@ constexpr char kMagic[4] = {'M', 'O', 'C', 'D'};
 constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8 + 4 + 4 + 4;
 
-void
-PutU32(Blob& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-}
-
-void
-PutU64(Blob& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-}
-
-std::uint32_t
-GetU32(const Blob& in, std::size_t at) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-        v |= static_cast<std::uint32_t>(in[at + i]) << (8 * i);
-    }
-    return v;
-}
-
-std::uint64_t
-GetU64(const Blob& in, std::size_t at) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-        v |= static_cast<std::uint64_t>(in[at + i]) << (8 * i);
-    }
-    return v;
-}
-
 [[noreturn]] void
 Malformed(const std::string& what) {
-    throw std::invalid_argument("delta record: " + what);
+    throw DecodeError("delta record: " + what);
 }
 
 std::size_t
 NumChunks(std::size_t size, std::size_t chunk_bytes) {
-    return size == 0 ? 0 : (size + chunk_bytes - 1) / chunk_bytes;
+    // Not (size + chunk_bytes - 1) / chunk_bytes: a hostile logical size
+    // near 2^64 would wrap that sum to a tiny chunk count.
+    return size / chunk_bytes + (size % chunk_bytes != 0 ? 1 : 0);
 }
 
 /** Byte length of chunk @p index of a @p size-byte blob (last may be short). */
@@ -95,92 +66,81 @@ Blob
 EncodeDelta(const Blob& blob, const std::vector<std::uint32_t>& changed,
             std::size_t chunk_bytes, std::size_t base_iteration) {
     const std::size_t num_chunks = NumChunks(blob.size(), chunk_bytes);
-    Blob out;
     const std::size_t bitmap_bytes = (num_chunks + 7) / 8;
     std::size_t payload = 0;
-    for (const std::uint32_t c : changed) {
-        payload += ChunkLen(blob.size(), chunk_bytes, c);
-    }
-    out.reserve(kHeaderBytes + bitmap_bytes + payload);
-    // Byte by byte: GCC 12 reports a false -Wstringop-overflow on a range
-    // insert into the freshly reserved vector.
-    for (const char c : kMagic) {
-        out.push_back(static_cast<std::uint8_t>(c));
-    }
-    PutU32(out, kVersion);
-    PutU64(out, blob.size());
-    PutU64(out, base_iteration);
-    PutU32(out, static_cast<std::uint32_t>(chunk_bytes));
-    PutU32(out, static_cast<std::uint32_t>(num_chunks));
-    PutU32(out, static_cast<std::uint32_t>(changed.size()));
-    out.resize(out.size() + bitmap_bytes, 0);
-    std::uint8_t* bitmap = out.data() + kHeaderBytes;
-    std::uint32_t prev = 0;
-    bool first = true;
-    for (const std::uint32_t c : changed) {
-        if (c >= num_chunks || (!first && c <= prev)) {
+    for (std::size_t i = 0; i < changed.size(); ++i) {
+        if (changed[i] >= num_chunks || (i > 0 && changed[i] <= changed[i - 1])) {
             throw std::invalid_argument(
                 "changed chunk indices must be ascending and in range");
         }
-        bitmap[c / 8] |= static_cast<std::uint8_t>(1U << (c % 8));
-        prev = c;
-        first = false;
+        payload += ChunkLen(blob.size(), chunk_bytes, changed[i]);
+    }
+    ByteWriter w(kHeaderBytes + bitmap_bytes + payload);
+    w.Raw(kMagic, sizeof(kMagic));
+    w.U32(kVersion);
+    w.U64(blob.size());
+    w.U64(base_iteration);
+    w.U32(static_cast<std::uint32_t>(chunk_bytes));
+    w.U32(static_cast<std::uint32_t>(num_chunks));
+    w.U32(static_cast<std::uint32_t>(changed.size()));
+    // The bitmap byte by byte: `changed` is ascending, so each byte's bits
+    // are the next run of indices below its upper bound.
+    std::size_t next = 0;
+    for (std::size_t byte = 0; byte < bitmap_bytes; ++byte) {
+        std::uint8_t bits = 0;
+        for (; next < changed.size() && changed[next] / 8 == byte; ++next) {
+            bits |= static_cast<std::uint8_t>(1U << (changed[next] % 8));
+        }
+        w.U8(bits);
     }
     for (const std::uint32_t c : changed) {
-        const std::uint8_t* p = blob.data() + std::size_t{c} * chunk_bytes;
-        out.insert(out.end(), p,
-                   p + ChunkLen(blob.size(), chunk_bytes, c));
+        w.Raw(blob.data() + std::size_t{c} * chunk_bytes,
+              ChunkLen(blob.size(), chunk_bytes, c));
     }
-    return out;
+    return w.Take();
 }
 
 DeltaRecord
 ParseDelta(const Blob& record) {
-    if (record.size() < kHeaderBytes) {
-        Malformed("truncated header");
-    }
-    if (std::memcmp(record.data(), kMagic, 4) != 0) {
+    ByteReader r(record);
+    if (std::memcmp(r.Raw(sizeof(kMagic)), kMagic, sizeof(kMagic)) != 0) {
         Malformed("bad magic");
     }
-    if (GetU32(record, 4) != kVersion) {
+    if (r.U32() != kVersion) {
         Malformed("unknown version");
     }
-    DeltaRecord r;
-    r.logical_bytes = GetU64(record, 8);
-    r.base_iteration = static_cast<std::size_t>(GetU64(record, 16));
-    r.chunk_bytes = GetU32(record, 24);
-    r.num_chunks = GetU32(record, 28);
-    const std::size_t changed_count = GetU32(record, 32);
-    if (r.chunk_bytes == 0) {
+    DeltaRecord d;
+    d.logical_bytes = r.U64();
+    d.base_iteration = static_cast<std::size_t>(r.U64());
+    d.chunk_bytes = r.U32();
+    d.num_chunks = r.U32();
+    const std::size_t changed_count = r.U32();
+    if (d.chunk_bytes == 0) {
         Malformed("zero chunk size");
     }
-    if (r.num_chunks != NumChunks(r.logical_bytes, r.chunk_bytes)) {
+    if (d.num_chunks != NumChunks(d.logical_bytes, d.chunk_bytes)) {
         Malformed("chunk count does not match logical size");
     }
-    if (changed_count > r.num_chunks) {
+    if (changed_count > d.num_chunks) {
         Malformed("more changed chunks than chunks");
     }
-    const std::size_t bitmap_bytes = (r.num_chunks + 7) / 8;
-    if (record.size() < kHeaderBytes + bitmap_bytes) {
-        Malformed("truncated bitmap");
-    }
-    const std::uint8_t* bitmap = record.data() + kHeaderBytes;
+    const std::uint8_t* bitmap = r.Raw((d.num_chunks + 7) / 8);
     std::size_t payload = 0;
-    r.changed.reserve(changed_count);
-    for (std::size_t c = 0; c < r.num_chunks; ++c) {
+    d.changed.reserve(changed_count);
+    for (std::size_t c = 0; c < d.num_chunks; ++c) {
         if ((bitmap[c / 8] >> (c % 8)) & 1U) {
-            r.changed.push_back(static_cast<std::uint32_t>(c));
-            payload += ChunkLen(r.logical_bytes, r.chunk_bytes, c);
+            d.changed.push_back(static_cast<std::uint32_t>(c));
+            payload += ChunkLen(d.logical_bytes, d.chunk_bytes, c);
         }
     }
-    if (r.changed.size() != changed_count) {
+    if (d.changed.size() != changed_count) {
         Malformed("bitmap popcount disagrees with changed_count");
     }
-    r.payload_offset = kHeaderBytes + bitmap_bytes;
-    if (record.size() != r.payload_offset + payload) {
+    d.payload_offset = r.offset();
+    if (r.remaining() != payload) {
         Malformed("payload length does not match bitmap");
     }
-    return r;
+    return d;
 }
 
 Blob

@@ -26,7 +26,8 @@
  * and the blast radius of a damaged base — `moc_cli fsck` verifies every
  * link and a generation whose chain is broken is not a restart target.
  *
- * Record wire format (all little-endian):
+ * Record wire format (all little-endian, written and read with
+ * util/byte_codec.h):
  *
  *   "MOCD" | u32 version=1 | u64 logical_bytes | u64 base_iteration |
  *   u32 chunk_bytes | u32 num_chunks | u32 changed_count |
@@ -85,8 +86,8 @@ Blob EncodeDelta(const Blob& blob, const std::vector<std::uint32_t>& changed,
 
 /**
  * Parses and validates a delta record's header, bitmap, and payload length.
- * @throws std::invalid_argument on anything malformed (bad magic, version,
- * geometry that doesn't add up, truncated payload).
+ * @throws DecodeError on anything malformed (bad magic, version, geometry
+ * that doesn't add up, truncated or over-long payload).
  */
 DeltaRecord ParseDelta(const Blob& record);
 
@@ -95,8 +96,9 @@ DeltaRecord ParseDelta(const Blob& record);
  * chunks of @p record. The base is taken by value and patched in place, so
  * a caller walking a chain moves each level's result into the next and
  * the blob is copied once, not once per level.
- * @throws std::invalid_argument when @p base does not match the record's
- * geometry (wrong size — the chain is inconsistent).
+ * @throws DecodeError on a malformed record (as ParseDelta);
+ * std::invalid_argument when @p base does not match the record's geometry
+ * (wrong size — the chain is inconsistent).
  */
 Blob ApplyDelta(const Blob& record, Blob base);
 

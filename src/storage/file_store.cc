@@ -14,6 +14,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/store_error.h"
+#include "util/byte_codec.h"
 #include "util/crc32.h"
 #include "util/logging.h"
 
@@ -114,8 +115,10 @@ FileStore::Put(const std::string& key, Blob blob) {
         }
         out.write(reinterpret_cast<const char*>(blob.data()),
                   static_cast<std::streamsize>(blob.size()));
-        const std::uint32_t crc = Crc32(blob.data(), blob.size());
-        out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
+        ByteWriter trailer(kTrailerSize);
+        trailer.U32(Crc32(blob.data(), blob.size()));
+        out.write(reinterpret_cast<const char*>(trailer.data()),
+                  static_cast<std::streamsize>(trailer.size()));
         if (!out) {
             throw StoreError(StoreErrorKind::kTransient, key,
                              "write failed for " + tmp.string());
@@ -152,16 +155,17 @@ FileStore::Get(const std::string& key) const {
                          "truncated blob file " + path.string());
     }
     Blob blob(total - kTrailerSize);
-    std::uint32_t stored_crc = 0;
+    std::uint8_t trailer[kTrailerSize];
     in.seekg(0);
     in.read(reinterpret_cast<char*>(blob.data()),
             static_cast<std::streamsize>(blob.size()));
-    in.read(reinterpret_cast<char*>(&stored_crc), sizeof(stored_crc));
+    in.read(reinterpret_cast<char*>(trailer), kTrailerSize);
     if (!in) {
         throw StoreError(StoreErrorKind::kTransient, key,
                          "read failed for " + path.string());
     }
-    if (Crc32(blob.data(), blob.size()) != stored_crc) {
+    if (Crc32(blob.data(), blob.size()) !=
+        ByteReader(trailer, kTrailerSize).U32()) {
         corrupt_reads.Add();
         throw StoreError(StoreErrorKind::kCorrupt, key,
                          "CRC mismatch (torn write?) in " + path.string());

@@ -1,36 +1,14 @@
 #include "tensor/serialize.h"
 
 #include <cstring>
-#include <stdexcept>
 
 #include "util/crc32.h"
-#include "util/logging.h"
 
 namespace moc {
 
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4D4F4354;  // "MOCT"
-
-template <typename T>
-void
-WriteAt(std::uint8_t*& at, T value) {
-    std::memcpy(at, &value, sizeof(T));
-    at += sizeof(T);
-}
-
-/** Reads a T at @p offset of @p data[0..size) and advances the offset. */
-template <typename T>
-T
-ReadAt(const std::uint8_t* data, std::size_t size, std::size_t& offset) {
-    if (sizeof(T) > size - offset) {
-        throw std::runtime_error("DeserializeTensor: truncated blob");
-    }
-    T value;
-    std::memcpy(&value, data + offset, sizeof(T));
-    offset += sizeof(T);
-    return value;
-}
 
 }  // namespace
 
@@ -43,67 +21,59 @@ SerializedTensorSize(const Tensor& t) {
            + sizeof(std::uint32_t);                    // crc
 }
 
-std::size_t
-SerializeTensor(const Tensor& t, std::uint8_t* out) {
-    std::uint8_t* at = out;
-    WriteAt(at, kMagic);
-    WriteAt(at, static_cast<std::uint32_t>(t.rank()));
+void
+SerializeTensor(const Tensor& t, ByteWriter& out) {
+    const std::size_t start = out.size();
+    out.U32(kMagic);
+    out.U32(static_cast<std::uint32_t>(t.rank()));
     for (std::size_t i = 0; i < t.rank(); ++i) {
-        WriteAt(at, static_cast<std::uint64_t>(t.dim(i)));
+        out.U64(t.dim(i));
     }
-    const std::size_t data_bytes = t.size() * sizeof(float);
-    if (data_bytes > 0) {
-        std::memcpy(at, t.data(), data_bytes);
-        at += data_bytes;
-    }
-    WriteAt(at, Crc32(out, static_cast<std::size_t>(at - out)));
-    return static_cast<std::size_t>(at - out);
+    out.Raw(t.data(), t.size() * sizeof(float));
+    out.U32(Crc32(out.data() + start, out.size() - start));
 }
 
 std::vector<std::uint8_t>
 SerializeTensor(const Tensor& t) {
-    std::vector<std::uint8_t> out(SerializedTensorSize(t));
-    SerializeTensor(t, out.data());
-    return out;
+    ByteWriter out(SerializedTensorSize(t));
+    SerializeTensor(t, out);
+    return out.Take();
 }
 
 TensorRecord
 ParseTensorRecord(const std::uint8_t* data, std::size_t size) {
-    if (size < sizeof(std::uint32_t) * 3) {
-        throw std::runtime_error("DeserializeTensor: blob too small");
+    if (size < sizeof(std::uint32_t)) {
+        throw DecodeError("DeserializeTensor: blob too small");
     }
     const std::size_t payload = size - sizeof(std::uint32_t);
-    std::uint32_t stored_crc;
-    std::memcpy(&stored_crc, data + payload, sizeof(stored_crc));
-    if (Crc32(data, payload) != stored_crc) {
-        throw std::runtime_error("DeserializeTensor: CRC mismatch (corrupt blob)");
+    if (Crc32(data, payload) != ByteReader(data + payload, size - payload).U32()) {
+        throw DecodeError("DeserializeTensor: CRC mismatch (corrupt blob)");
     }
-    std::size_t offset = 0;
-    const auto magic = ReadAt<std::uint32_t>(data, payload, offset);
-    if (magic != kMagic) {
-        throw std::runtime_error("DeserializeTensor: bad magic");
+    ByteReader r(data, payload);
+    if (r.U32() != kMagic) {
+        throw DecodeError("DeserializeTensor: bad magic");
     }
     // A blob with a valid CRC can still be hostile: bound the rank and the
     // element count by the payload before anything is sized from them.
-    const auto rank = ReadAt<std::uint32_t>(data, payload, offset);
-    if (rank > (payload - offset) / sizeof(std::uint64_t)) {
-        throw std::runtime_error("DeserializeTensor: rank exceeds blob");
+    const std::uint32_t rank = r.U32();
+    if (rank > r.remaining() / sizeof(std::uint64_t)) {
+        throw DecodeError("DeserializeTensor: rank exceeds blob");
     }
     TensorRecord record;
     record.shape.resize(rank);
     std::size_t count = rank == 0 ? 0 : 1;  // as ShapeSize counts
     for (auto& d : record.shape) {
-        d = static_cast<std::size_t>(ReadAt<std::uint64_t>(data, payload, offset));
+        d = static_cast<std::size_t>(r.U64());
         if (__builtin_mul_overflow(count, d, &count)) {
-            throw std::runtime_error("DeserializeTensor: element count overflows");
+            throw DecodeError("DeserializeTensor: element count overflows");
         }
     }
-    const std::size_t remaining = payload - offset;
-    if (count > remaining / sizeof(float) || count * sizeof(float) != remaining) {
-        throw std::runtime_error("DeserializeTensor: size mismatch");
+    const std::size_t data_bytes = r.remaining();
+    if (count > data_bytes / sizeof(float) || count * sizeof(float) != data_bytes) {
+        throw DecodeError("DeserializeTensor: size mismatch");
     }
-    record.data = data + offset;
-    record.data_bytes = remaining;
+    record.data_bytes = data_bytes;
+    record.data = r.Raw(data_bytes);
     return record;
 }
 

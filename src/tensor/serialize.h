@@ -7,36 +7,35 @@
  * format used by the checkpoint engine.
  *
  * Layout: [u32 magic][u32 rank][u64 dim...][f32 data...][u32 crc]
- * where the crc covers everything before it.
+ * where the crc covers everything before it. Header fields and trailer are
+ * little-endian, written and read with util/byte_codec.h; the float data is
+ * copied verbatim.
  *
- * The pointer overloads write into / parse from caller-owned memory, so a
- * container of many tensors (SerializeParamList) is built and read in one
- * copy per tensor; the vector overloads call them, and both produce and
- * accept the same bytes. ParseTensorRecord checks a record without copying
- * its data, so a restore can copy it into a tensor it already owns.
+ * The ByteWriter overload appends a record to a writer the caller sized,
+ * so a container of many tensors (SerializeParamList) is built with one
+ * allocation and one copy per tensor; the vector overload calls it.
+ * ParseTensorRecord checks a record where it sits, without copying its
+ * data, so a restore can copy it into a tensor it already owns.
  */
 
 #include <cstdint>
 #include <vector>
 
 #include "tensor/tensor.h"
+#include "util/byte_codec.h"
 
 namespace moc {
 
 /** Serializes @p t into a self-describing blob. */
 std::vector<std::uint8_t> SerializeTensor(const Tensor& t);
 
-/**
- * Writes the bytes of SerializeTensor(@p t) to @p out, which must hold
- * SerializedTensorSize(@p t) bytes; the trailer CRC is taken over them in
- * place. @return the number of bytes written.
- */
-std::size_t SerializeTensor(const Tensor& t, std::uint8_t* out);
+/** Appends the bytes of SerializeTensor(@p t) to @p out. */
+void SerializeTensor(const Tensor& t, ByteWriter& out);
 
 /**
  * Parses a blob produced by SerializeTensor.
- * @throws std::runtime_error on truncation, bad magic, CRC mismatch, or a
- *         rank or shape the payload cannot hold. Nothing is allocated for
+ * @throws DecodeError on truncation, bad magic, CRC mismatch, or a rank
+ *         or shape the payload cannot hold. Nothing is allocated for
  *         the shape or the data before those checks pass.
  */
 Tensor DeserializeTensor(const std::vector<std::uint8_t>& blob);

@@ -220,24 +220,31 @@ TEST(Blocking, ChargesBothPhases) {
 
 TEST(Blocking, BlockingExceedsAsyncOverhead) {
     // The headline property of asynchronous checkpointing: for the same
-    // payload and bandwidths, the training-visible overhead is smaller.
+    // payload, bandwidths and F&B work, the training-visible time is
+    // smaller. Both sides run the same simulated F&B sleep and are timed on
+    // the same wall clock; only the async side overlaps it with the
+    // snapshot, so the margin is the whole persist phase plus the overlap.
+    const auto forward_backward = std::chrono::milliseconds(15);
     StorageIoModel io;
     io.latency = 0.0;
     PersistentStore store(io);
     const double scale = 0.05;
+    WallClock clock;
+
     BlockingCheckpointer blocking(store, "b", 1e6, 1e6, scale);
-    const Seconds blocked = blocking.Checkpoint(MakeBlob(200000), 1);
+    Seconds start = clock.Now();
+    blocking.Checkpoint(MakeBlob(200000), 1);
+    std::this_thread::sleep_for(forward_backward);
+    const Seconds blocked = clock.Now() - start;
 
     AgentCostModel cost;
     cost.snapshot_bandwidth = 1e6;
     cost.persist_bandwidth = 1e6;
     cost.time_scale = scale;
     AsyncCheckpointAgent agent(store, "a", cost);
-    WallClock clock;
-    const Seconds start = clock.Now();
+    start = clock.Now();
     agent.RequestCheckpoint(MakeBlob(200000), 1);
-    // Simulated F&B work that the snapshot overlaps with.
-    std::this_thread::sleep_for(std::chrono::milliseconds(15));
+    std::this_thread::sleep_for(forward_backward);
     agent.WaitSnapshotComplete();
     const Seconds visible = clock.Now() - start;
     agent.Drain();

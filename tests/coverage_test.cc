@@ -15,6 +15,7 @@
 #include "nn/model.h"
 #include "storage/memory_store.h"
 #include "tensor/serialize.h"
+#include "util/byte_codec.h"
 
 namespace moc {
 namespace {
@@ -331,7 +332,7 @@ TEST(ExtraStateSerialization, TruncatedBlobRejected) {
     ExtraState extra{};
     Blob blob = SerializeExtraState(extra);
     blob.resize(blob.size() - 4);
-    EXPECT_THROW(DeserializeExtraState(blob), std::invalid_argument);
+    EXPECT_THROW(DeserializeExtraState(blob), DecodeError);
 }
 
 // ---------- Multiple node failures ----------

@@ -28,6 +28,7 @@
 #include "storage/persistent_store.h"
 #include "storage/store_error.h"
 #include "temp_path.h"
+#include "util/byte_codec.h"
 #include "util/crc32.h"
 #include "util/hash.h"
 #include "util/rng.h"
@@ -150,18 +151,18 @@ TEST(DeltaCodec, RejectsMalformedRecords) {
 
     Blob bad_magic = record;
     bad_magic[0] = 'X';
-    EXPECT_THROW(ParseDelta(bad_magic), std::invalid_argument);
+    EXPECT_THROW(ParseDelta(bad_magic), DecodeError);
 
     Blob truncated(record.begin(), record.begin() + record.size() - 1);
-    EXPECT_THROW(ParseDelta(truncated), std::invalid_argument);
+    EXPECT_THROW(ParseDelta(truncated), DecodeError);
 
     Blob short_header(record.begin(), record.begin() + 10);
-    EXPECT_THROW(ParseDelta(short_header), std::invalid_argument);
+    EXPECT_THROW(ParseDelta(short_header), DecodeError);
 
     // Bitmap popcount disagreeing with changed_count.
     Blob bad_bitmap = record;
     bad_bitmap[36] = 0x03;  // two bits set, header says one chunk changed
-    EXPECT_THROW(ParseDelta(bad_bitmap), std::invalid_argument);
+    EXPECT_THROW(ParseDelta(bad_bitmap), DecodeError);
 
     // A base of the wrong size cannot host the record's chunk grid.
     EXPECT_THROW(ApplyDelta(record, Blob(100, 0)), std::invalid_argument);

@@ -11,6 +11,7 @@
 #include <stdexcept>
 
 #include "net/frame.h"
+#include "util/byte_codec.h"
 #include "util/rng.h"
 
 namespace moc::net {
@@ -221,7 +222,7 @@ TEST(NetFrame, PhaseMappingRoundTrips) {
 }
 
 TEST(NetFrame, PayloadCodecRoundTrips) {
-    PayloadWriter w;
+    ByteWriter w;
     w.U8(7);
     w.U32(0xCAFEBABEu);
     w.U64(1ULL << 40);
@@ -230,7 +231,7 @@ TEST(NetFrame, PayloadCodecRoundTrips) {
     w.Str("expert/3/w");
     const Blob bytes = w.Take();
 
-    PayloadReader r(bytes);
+    ByteReader r(bytes);
     EXPECT_EQ(r.U8(), 7);
     EXPECT_EQ(r.U32(), 0xCAFEBABEu);
     EXPECT_EQ(r.U64(), 1ULL << 40);
@@ -241,17 +242,17 @@ TEST(NetFrame, PayloadCodecRoundTrips) {
 }
 
 TEST(NetFrame, PayloadReaderThrowsOnTruncation) {
-    PayloadWriter w;
+    ByteWriter w;
     w.U64(99);
     w.Str("abc");
     Blob bytes = w.Take();
     bytes.resize(bytes.size() - 2);  // tear the string
 
-    PayloadReader r(bytes);
+    ByteReader r(bytes);
     EXPECT_EQ(r.U64(), 99U);
     EXPECT_THROW(r.Str(), std::runtime_error);
 
-    PayloadReader empty(bytes);
+    ByteReader empty(bytes);
     empty.U64();
     (void)empty.U32();  // the torn string's length prefix still fits...
     EXPECT_THROW((void)empty.U32(), std::runtime_error);  // ...but no more

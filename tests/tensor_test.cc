@@ -394,8 +394,13 @@ TEST(Serialize, PointerOverloadsMatchVectorOnUnalignedSubRange) {
     const auto blob = SerializeTensor(t);
     // Three bytes of prefix put the record off every natural alignment;
     // trailing bytes check that the parser stays inside its range.
-    std::vector<std::uint8_t> buffer(3 + blob.size() + 5, 0xEE);
-    EXPECT_EQ(SerializeTensor(t, buffer.data() + 3), blob.size());
+    const std::uint8_t pad[5] = {0xEE, 0xEE, 0xEE, 0xEE, 0xEE};
+    ByteWriter writer;
+    writer.Raw(pad, 3);
+    SerializeTensor(t, writer);
+    writer.Raw(pad, 5);
+    const std::vector<std::uint8_t> buffer = writer.Take();
+    ASSERT_EQ(buffer.size(), 3 + blob.size() + 5);
     EXPECT_TRUE(std::equal(blob.begin(), blob.end(), buffer.begin() + 3));
     const Tensor from_pointer = DeserializeTensor(buffer.data() + 3, blob.size());
     const Tensor from_vector = DeserializeTensor(blob);
